@@ -11,6 +11,7 @@ low, which is the phenomenon the scanners quantify.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -390,13 +391,19 @@ def _sweep_eval(spec: EkSpec):
     return rep.badness, rep.witness_t
 
 
+def _clamp_jobs(jobs: int, steps: int) -> int:
+    """Worker count actually used: at least 1, at most the steps and the CPUs."""
+    return max(1, min(jobs, steps, os.cpu_count() or 1))
+
+
 def ek_sweep(kind: str, fixed: dict, vary: str, lo: float, hi: float,
              steps: int, N: int, c: float, t_grid: int = 4096,
              jobs: int = 1) -> list:
     """Run ek_badness across a parameter grid.
 
     Returns rows (value, badness, witness_t) sorted by the swept value.
-    Results are independent of jobs; workers only change wall time.
+    Results are independent of jobs; workers only change wall time. The
+    worker count is clamped to the number of steps and of CPUs.
     """
     if steps < 1:
         raise SpecError("steps must be >= 1")
@@ -409,6 +416,7 @@ def ek_sweep(kind: str, fixed: dict, vary: str, lo: float, hi: float,
         params = dict(fixed)
         params[vary] = v
         specs.append(EkSpec(kind=kind, N=N, c=c, t_grid=t_grid, **params))
+    jobs = _clamp_jobs(jobs, len(specs))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_eval, specs, chunksize=8))

@@ -166,6 +166,8 @@ def _aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
         acc = np.bincount(cells, weights=weights, minlength=span)
         nz = np.flatnonzero(acc)
         return nz, acc[nz]
+    if cells.size == 0:
+        return cells, weights
     order = np.argsort(cells, kind="stable")
     cs = cells[order]
     ws = weights[order]
@@ -182,15 +184,29 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
     upper masses. Returns (indices, lower, upper) with absolute cell indices.
     """
     scale = 2.0 ** n
-    span = int(k_max - k_min + 1)
     c_lo = np.floor((e_lo + eps) * scale).astype(np.int64)
     c_hi = np.floor((e_hi - eps) * scale).astype(np.int64)
     contained = c_lo == c_hi
-    t_lo = np.clip(np.floor((e_lo - eps) * scale).astype(np.int64), k_min, k_max)
-    t_hi = np.clip(np.floor((e_hi + eps) * scale).astype(np.int64), k_min, k_max)
+    t_lo = np.floor((e_lo - eps) * scale).astype(np.int64)
+    t_hi = np.floor((e_hi + eps) * scale).astype(np.int64)
+    return _bin_cells(c_lo[contained], w_lower[contained], t_lo, t_hi,
+                      w_upper, k_min, k_max)
 
-    low_cells = np.clip(c_lo[contained], k_min, k_max) - k_min
-    low_w = w_lower[contained]
+
+def _bin_cells(low_cells: np.ndarray, low_w: np.ndarray, t_lo: np.ndarray,
+               t_hi: np.ndarray, w_upper: np.ndarray, k_min: int, k_max: int):
+    """Sum masses already assigned to integer cells, clipped to [k_min, k_max].
+
+    low_w lands in low_cells; w_upper lands in every cell of [t_lo, t_hi].
+    The three cell arrays are overwritten (clipped to the box, low_cells
+    also shifted to start at 0), so callers pass arrays they own. Returns
+    (indices, lower, upper) over the cells with positive upper mass.
+    """
+    span = int(k_max - k_min + 1)
+    np.clip(low_cells, k_min, k_max, out=low_cells)
+    low_cells -= k_min
+    np.clip(t_lo, k_min, k_max, out=t_lo)
+    np.clip(t_hi, k_min, k_max, out=t_hi)
 
     widths = t_hi - t_lo
     up_cells_parts = []

@@ -17,15 +17,17 @@ import numpy as np
 
 from .errors import BudgetError, SpecError
 from .fourier import ConvolvedMeasure, IfsMeasure, ProjectedMeasure
-from .histogram import (DyadicHistogram, _box_range, bin_weighted_intervals,
-                        histogram)
+from .histogram import (_EPS_BASE, DyadicHistogram, _aggregate, _bin_cells,
+                        _box_range, bin_weighted_intervals, histogram)
 from .ifs import (WORD_BUDGET, HomogeneousIfs, Similarity, check_weights,
                   cylinder_centers, ifs_from_json, uniform_weights,
                   word_weights)
 
 _MERGE_TOL = 1e-12
 _PAIR_BUDGET = 50_000_000
-_EPS_BASE = 1e-14
+# Pairs formed per chunk in convolve_hist; at n = 16, 2^21 ran faster than
+# 2^22, with fewer page faults.
+_PAIR_CHUNK = 1 << 21
 
 
 def _merge_coincident(points: np.ndarray, weights: np.ndarray):
@@ -97,9 +99,25 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
                   n_out: int | None = None) -> DyadicHistogram:
     """Certified histogram of mu1 * T_u mu2 at a coarser output level.
 
-    Both inputs must be 1D at the same level; the second coordinate is
+    Both inputs must be 1D at the same level n; the second coordinate is
     scaled by u. Pair sum-intervals feed lower mass on containment and
     upper mass on touch, exactly like first-order histogram binning.
+
+    The pair stage is exact integer arithmetic. Positions are measured in
+    input cells of width 2^-n: cell k of h2 scales to [s, s + |u|] with
+    s = min(u k, u (k + 1)) = f + frac, f an integer and 0 <= frac < 1, so
+    pair (i, j) covers [k_i + s_j, k_i + s_j + 1 + |u|]. Four integer
+    offsets per cell of h2, f + floor(frac + d) for d in eps', 1 + |u| - eps',
+    -eps' and 1 + |u| + eps' (eps' is the binning eps in input cells), give
+    the input cells holding each end moved inward (containment, lower mass)
+    and outward (touch, upper mass). An output cell spans g = 2^(n - n_out)
+    input cells, so with k_i = g q_i + r_i the pair's first and last output
+    cells are q_i plus floor((r_i + offset) / g), which depends only on r_i
+    and j. Rows of h1 are grouped by r_i; within a group a pair adds its
+    mass at q_i plus a column code (first cell, and for upper mass also the
+    number of cells touched). Pairs are summed per code about _PAIR_CHUNK
+    at a time, so memory is bounded by the chunk and the occupied output
+    cells, not by the number of pairs.
     """
     if h1.ambient_dim != 1 or h2.ambient_dim != 1:
         raise SpecError("convolution needs 1D histograms")
@@ -111,30 +129,78 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
         n_out = h1.n - 4
     if not (1 <= n_out <= h1.n):
         raise SpecError("output level must lie in [1, input level]")
-    if h1.num_cells * h2.num_cells > _PAIR_BUDGET:
+    pairs = h1.num_cells * h2.num_cells
+    if pairs > _PAIR_BUDGET:
         raise BudgetError(
-            f"{h1.num_cells} x {h2.num_cells} cell pairs exceed the budget")
-
-    w_in = h1.cell_width
-    x_lo = h1.indices * w_in
-    y_edges = np.stack([h2.indices * w_in * u, (h2.indices + 1) * w_in * u])
-    y_lo = y_edges.min(axis=0)
-    y_hi = y_edges.max(axis=0)
-
-    pair_lo = (x_lo[:, None] + y_lo[None, :]).ravel()
-    pair_hi = (x_lo[:, None] + w_in + y_hi[None, :]).ravel()
-    low_w = (h1.lower[:, None] * h2.lower[None, :]).ravel()
-    up_w = (h1.upper[:, None] * h2.upper[None, :]).ravel()
+            f"{h1.num_cells} x {h2.num_cells} = {pairs} cell pairs exceed "
+            f"the budget {_PAIR_BUDGET}")
 
     (a0, a1) = h1.box()[0]
     (b0, b1) = h2.box()[0]
     cand = [a0 + min(u * b0, u * b1), a1 + max(u * b0, u * b1)]
     eps = _EPS_BASE * max(1.0, abs(cand[0]), abs(cand[1]))
     k0, k1 = _box_range(cand[0], cand[1], n_out, eps)
-    idx, lower, upper = bin_weighted_intervals(
-        pair_lo, pair_hi, low_w, up_w, n_out, k0, k1, eps)
+
+    g = 1 << (h1.n - n_out)
+    s = np.minimum(u * h2.indices, u * (h2.indices + 1))
+    f = np.floor(s)
+    frac = s - f
+    e = eps * 2.0 ** h1.n
+    ext = 1.0 + abs(u)
+    # Offsets in input cells from k_i to the ends of pair (i, j), moved by
+    # eps inward (containment, lower mass) and outward (touch, upper mass).
+    in_lo, in_hi, out_lo, out_hi = (
+        (f + np.floor(frac + d)).astype(np.int64) for d in (e, ext - e, -e, ext + e))
+
+    q, res = np.divmod(h1.indices, g)
+    base = int(q.min()) + int(out_lo.min()) // g
+    span = int(q.max()) + (g - 1 + int(out_hi.max())) // g - base + 1
+    # Upper codes carry the number of extra cells touched: cell * nw + width.
+    nw = int((out_hi - out_lo).max()) // g + 2
+    order = np.argsort(res, kind="stable")
+    low_blocks, up_blocks = [], []
+    for rows in np.split(order, np.flatnonzero(np.diff(res[order])) + 1):
+        # Rows sharing k_i mod g send column j to the same output cells.
+        r = int(res[rows[0]])
+        rq = q[rows] - base
+        first, last = (r + in_lo) // g, (r + in_hi) // g
+        inside = first == last
+        low_blocks.append((rq, h1.lower[rows], first[inside], h2.lower[inside]))
+        first, last = (r + out_lo) // g, (r + out_hi) // g
+        up_blocks.append((rq * nw, h1.upper[rows], first * nw + last - first,
+                          h2.upper))
+    low_cells, low_w = _pair_sums(low_blocks, span)
+    up_codes, up_w = _pair_sums(up_blocks, span * nw)
+    t_lo, widths = np.divmod(up_codes, nw)
+    t_lo += base
+    idx, lower, upper = _bin_cells(low_cells + base, low_w, t_lo,
+                                   t_lo + widths, up_w, k0, k1)
     return DyadicHistogram(1, n_out, min(h1.depth_used, h2.depth_used),
                            (k0,), (k1,), idx, lower, upper)
+
+
+def _pair_sums(blocks: list, length: int):
+    """Sum w_rows[i] * w_cols[j] per code rows[i] + cols[j] in [0, length).
+
+    blocks holds (rows, w_rows, cols, w_cols) tuples. Zero weights are
+    skipped. Pairs are formed about _PAIR_CHUNK at a time and folded into
+    the running sums once that many are pending, so memory stays bounded
+    by two chunks plus the occupied codes. Returns (codes, sums) sorted.
+    """
+    codes, sums = [np.empty(0, np.int64)], [np.empty(0)]
+    pending = 0
+    for rows, w_rows, cols, w_cols in blocks:
+        rows, w_rows = rows[w_rows > 0.0], w_rows[w_rows > 0.0]
+        cols, w_cols = cols[w_cols > 0.0], w_cols[w_cols > 0.0]
+        step = max(1, _PAIR_CHUNK // max(1, cols.size))
+        for i in range(0, rows.size, step):
+            codes.append((rows[i:i + step, None] + cols).ravel())
+            sums.append((w_rows[i:i + step, None] * w_cols).ravel())
+            pending += codes[-1].size
+            if pending >= _PAIR_CHUNK:
+                merged = _aggregate(np.concatenate(codes), np.concatenate(sums), length)
+                codes, sums, pending = [merged[0]], [merged[1]], 0
+    return _aggregate(np.concatenate(codes), np.concatenate(sums), length)
 
 
 @dataclass(frozen=True)

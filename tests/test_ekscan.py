@@ -1,12 +1,14 @@
 """Near-integer badness scans and admissible sequence counting."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from selfsim import (BudgetError, EkSpec, SpecError, centered_frac,
                      ek_badness, ek_count_sequences, ek_sweep)
+from selfsim.ekscan import _clamp_jobs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,6 +126,16 @@ def test_sweep_jobs_invariant():
     rows_par = ek_sweep("convolutions", {"theta1": 2.0, "theta2": 3.0},
                         "u", 0.5, 1.5, 6, 12, 0.1, t_grid=256, jobs=3)
     assert rows_serial == rows_par
+
+
+def test_clamp_jobs():
+    """Huge or non-positive requests never ask for more workers than useful."""
+    cpus = os.cpu_count() or 1
+    assert _clamp_jobs(10**6, 9) == min(9, cpus)
+    assert _clamp_jobs(10**6, 10**9) == cpus
+    assert _clamp_jobs(4, 1) == 1
+    assert _clamp_jobs(0, 9) == 1
+    assert _clamp_jobs(-5, 9) == 1
 
 
 def test_sweep_single_step():

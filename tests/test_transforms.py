@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfsim import (BudgetError, HomogeneousIfs, Similarity, SpecError,
-                     convolve_hist, histogram, histogram_project, iterate_ifs,
-                     load_measure_spec, measure_histogram, measure_spectral,
-                     product_ifs, project_ifs, resolve_spec,
-                     similarity_dimension, skip_keep, uniform_weights)
+from selfsim import (BudgetError, DyadicHistogram, HomogeneousIfs, Similarity,
+                     SpecError, convolve_hist, histogram, histogram_project,
+                     iterate_ifs, load_measure_spec, measure_histogram,
+                     measure_spectral, product_ifs, project_ifs, resolve_spec,
+                     similarity_dimension, skip_keep, transforms,
+                     uniform_weights)
+from selfsim.histogram import _EPS_BASE, _box_range, bin_weighted_intervals
 
 
 def _overlap_gap(h_a, h_b):
@@ -129,8 +133,108 @@ def test_convolution_pair_budget(lebesgue_unit):
     ifs, p = lebesgue_unit
     h = histogram(ifs, p, 13)
     assert h.num_cells == 8192
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         convolve_hist(h, h, 1.0, n_out=9)
+    assert "8192 x 8192 = 67108864 cell pairs" in str(err.value)
+
+
+def _all_pairs_convolve(h1, h2, u, n_out):
+    """Reference convolution: every cell pair binned as a float interval."""
+    w_in = h1.cell_width
+    x_lo = h1.indices * w_in
+    y_edges = np.stack([h2.indices * w_in * u, (h2.indices + 1) * w_in * u])
+    y_lo = y_edges.min(axis=0)
+    y_hi = y_edges.max(axis=0)
+
+    pair_lo = (x_lo[:, None] + y_lo[None, :]).ravel()
+    pair_hi = (x_lo[:, None] + w_in + y_hi[None, :]).ravel()
+    low_w = (h1.lower[:, None] * h2.lower[None, :]).ravel()
+    up_w = (h1.upper[:, None] * h2.upper[None, :]).ravel()
+
+    (a0, a1) = h1.box()[0]
+    (b0, b1) = h2.box()[0]
+    cand = [a0 + min(u * b0, u * b1), a1 + max(u * b0, u * b1)]
+    eps = _EPS_BASE * max(1.0, abs(cand[0]), abs(cand[1]))
+    k0, k1 = _box_range(cand[0], cand[1], n_out, eps)
+    idx, lower, upper = bin_weighted_intervals(
+        pair_lo, pair_hi, low_w, up_w, n_out, k0, k1, eps)
+    return DyadicHistogram(1, n_out, min(h1.depth_used, h2.depth_used),
+                           (k0,), (k1,), idx, lower, upper)
+
+
+_CANTOR13 = HomogeneousIfs(1, Similarity(ratio=1 / 3, sign=1),
+                           np.array([0.0, 2 / 3]))
+_CANTOR14 = HomogeneousIfs(1, Similarity(ratio=0.25, sign=1),
+                           np.array([0.0, 0.75]))
+
+
+def _check_matches_all_pairs(h1, h2, u, n_out):
+    """convolve_hist against the oracle: same cells, same masses.
+
+    Both sum the same pair products, in different orders, so a cell's mass
+    may differ by rounding: 1e-15 plus 1e-14 of the mass (about 45 units in
+    the last place). Sums of over a thousand products per cell reach 1.1e-15
+    at a mass of 0.55.
+    """
+    got = convolve_hist(h1, h2, u, n_out=n_out)
+    want = _all_pairs_convolve(h1, h2, u, n_out)
+    assert np.array_equal(got.indices, want.indices)
+    assert (got.k_min, got.k_max) == (want.k_min, want.k_max)
+    for a, b in ((got.lower, want.lower), (got.upper, want.upper)):
+        assert np.all(np.abs(a - b) <= 1e-15 + 1e-14 * b)
+    return got
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(u=st.sampled_from([1.0, -1.0, 0.5, 2.0, 0.7, -0.7, 0.3, 1.5]),
+       guard=st.integers(0, 4), n=st.integers(8, 12),
+       w1=st.floats(0.05, 0.95), w2=st.floats(0.05, 0.95))
+def test_convolution_matches_all_pairs(u, guard, n, w1, w2):
+    """Integer-offset accumulation reproduces the all-pairs float binning.
+
+    The grid-exact scales (1, 1/2, 2, 3/2) put pair ends on cell edges, where
+    the binning eps decides containment and touch.
+    """
+    h1 = histogram(_CANTOR13, [w1, 1.0 - w1], n)
+    h2 = histogram(_CANTOR14, [w2, 1.0 - w2], n)
+    got = _check_matches_all_pairs(h1, h2, u, n - guard)
+    assert np.all(got.lower >= 0.0) and np.all(got.lower <= got.upper)
+    assert got.total_lower() <= 1.0 <= got.total_upper()
+
+
+@pytest.mark.parametrize("guard", [0, 1, 3])
+def test_convolution_matches_all_pairs_rounded_edge(guard):
+    """0.7 k rounds to just below an integer for k = 90, 170, 180.
+
+    Only the inward eps then puts that pair end on the cell edge, so the
+    containment rule is exercised where the float product undershoots.
+    """
+    n = 10
+    h1 = DyadicHistogram(1, n, 1, (0,), (7,), np.arange(8), np.full(8, 0.1),
+                         np.full(8, 0.125))
+    h2 = DyadicHistogram(1, n, 1, (90,), (180,), np.array([90, 170, 180]),
+                         np.full(3, 0.3), np.full(3, 1 / 3))
+    _check_matches_all_pairs(h1, h2, 0.7, n - guard)
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 5000])
+def test_convolution_matches_all_pairs_chunked(monkeypatch, chunk):
+    """Folding pairs into the running sums chunk by chunk changes no cell."""
+    monkeypatch.setattr(transforms, "_PAIR_CHUNK", chunk)
+    h1 = histogram(_CANTOR13, [0.4, 0.6], 10)
+    h2 = histogram(_CANTOR14, [0.7, 0.3], 10)
+    _check_matches_all_pairs(h1, h2, -0.7, 8)
+
+
+@pytest.mark.parametrize("u,guard", [(0.5, 1), (-1.5, 2)])
+def test_convolution_matches_all_pairs_wide_span(u, guard):
+    """Output spans above the dense cap take the sorted accumulation path."""
+    sparse = HomogeneousIfs(1, Similarity(ratio=0.1, sign=1),
+                            np.array([0.0, 0.9]))
+    h = histogram(sparse, uniform_weights(2), 24)
+    got = _check_matches_all_pairs(h, h, u, 24 - guard)
+    assert got.k_max[0] - got.k_min[0] > 1 << 23
+    assert np.count_nonzero(got.lower) > 0
 
 
 def test_skip_keep_oracle(cantor13):
