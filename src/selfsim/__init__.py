@@ -15,9 +15,7 @@ from .ekscan import (EkCountReport, EkReport, EkSpec, centered_frac,
                      ek_badness, ek_count_sequences, ek_sweep)
 from .errors import (BudgetError, InvalidWordError, PrecisionError,
                      SelfsimError, SpecError, UsageError)
-from .fourier import (ConvolvedMeasure, FourierProfile, IfsMeasure,
-                      ProjectedMeasure, ScaledMeasure, decay_fit, ft_eval,
-                      ft_projected_eval)
+from .fourier import FourierProfile, decay_fit, ft_eval
 from .histogram import (DyadicHistogram, dyadic_depth, entropy_sum, histogram,
                         moment_sums)
 from .ifs import (WORD_BUDGET, HomogeneousIfs, SeparationCertificate,
@@ -25,9 +23,10 @@ from .ifs import (WORD_BUDGET, HomogeneousIfs, SeparationCertificate,
                   coding_map_partial, cylinder_ball, cylinder_centers,
                   entropy, ifs_from_json, ifs_to_json, similarity_dimension,
                   uniform_weights, unrank_word, word_weights)
-from .transforms import (ResolvedMeasure, SkipKeepPair, convolve_hist,
+from .transforms import (ConvolvedMeasure, ProjectedMeasure,
+                         SelfSimilarMeasure, SkipKeepPair, convolve_hist,
                          histogram_project, iterate_ifs, load_measure_spec,
-                         measure_histogram, measure_spectral, product_ifs,
-                         project_ifs, resolve_spec, skip_keep)
+                         product_ifs, project_ifs, project_measure,
+                         resolve_spec, skip_keep, skip_keep_measure)
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ exceeded, 4 precision exhausted.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -20,13 +19,11 @@ import numpy as np
 
 from .dimension import estimate_D1, estimate_Dq, table_from_histograms
 from .ekscan import EkSpec, ek_badness, ek_count_sequences, ek_sweep
-from .errors import (BudgetError, PrecisionError, SelfsimError, SpecError,
-                     UsageError)
+from .errors import SelfsimError, SpecError, UsageError
 from .fourier import decay_fit
-from .histogram import histogram
 from .ifs import check_strong_separation, entropy, similarity_dimension
-from .transforms import (ResolvedMeasure, load_measure_spec,
-                         measure_histogram, measure_spectral, project_ifs)
+from .transforms import (ConvolvedMeasure, SelfSimilarMeasure,
+                         load_measure_spec, project_measure, skip_keep_measure)
 
 _JOBS_ENV = "SELFSIM_JOBS"
 
@@ -82,38 +79,34 @@ def _default_jobs() -> int:
         return 1
 
 
-def _measure_levels(rm: ResolvedMeasure, n_min: int, n_max: int, args):
-    hists = [measure_histogram(rm, n, extra_depth=args.extra_depth,
-                               guard=args.guard, word_budget=args.budget)
-             for n in range(n_min, n_max + 1)]
-    return hists
+def _measure_levels(measure, n_min: int, n_max: int, args):
+    return [measure.histogram(n, extra_depth=args.extra_depth,
+                              guard=args.guard, word_budget=args.budget)
+            for n in range(n_min, n_max + 1)]
 
 
-def _hist_rows(hist):
-    if hist.ambient_dim == 1:
-        header = ["cell_index", "cell_left", "lower_mass", "upper_mass"]
-        w = hist.cell_width
-        rows = [(int(k), k * w, lo, up) for k, lo, up in
-                zip(hist.indices.tolist(), hist.lower, hist.upper)]
-    else:
-        header = ["cell_index_x", "cell_index_y", "cell_left_x",
-                  "cell_left_y", "lower_mass", "upper_mass"]
-        w = hist.cell_width
-        rows = [(int(kx), int(ky), kx * w, ky * w, lo, up)
-                for (kx, ky), lo, up in
-                zip(hist.indices.tolist(), hist.lower, hist.upper)]
-    return header, rows
+def _emit_histogram(args, measure) -> None:
+    hist = measure.histogram(args.n, extra_depth=args.extra_depth,
+                             guard=args.guard, word_budget=args.budget)
+    axes = [""] if hist.ambient_dim == 1 else ["_x", "_y"]
+    header = ([f"cell_index{a}" for a in axes] + [f"cell_left{a}" for a in axes]
+              + ["lower_mass", "upper_mass"])
+    idx = hist.indices.reshape(hist.num_cells, -1)
+    rows = [(*k, *left, lo, up) for k, left, lo, up in
+            zip(idx.tolist(), (idx * hist.cell_width).tolist(),
+                hist.lower, hist.upper)]
+    _emit(args.out, header, rows)
 
 
 def _cmd_dim(args) -> None:
-    rm = load_measure_spec(args.ifs)
+    measure = load_measure_spec(args.ifs)
     n_min, n_max = _parse_levels(args.levels)
     q_list = args.q if args.q else [2.0]
     for q in q_list:
         if abs(q - 1.0) < 1e-12 or q <= 0:
             raise SpecError("q must be positive and not 1; use the entropy "
                             "subcommand for q = 1")
-    hists = _measure_levels(rm, n_min, n_max, args)
+    hists = _measure_levels(measure, n_min, n_max, args)
     table = table_from_histograms(hists, q_list)
     header = ["q", "n", "S_lower", "S_upper", "slope_fit", "D_lo", "D_hi"]
     rows = []
@@ -127,9 +120,9 @@ def _cmd_dim(args) -> None:
 
 
 def _cmd_entropy(args) -> None:
-    rm = load_measure_spec(args.ifs)
+    measure = load_measure_spec(args.ifs)
     n_min, n_max = _parse_levels(args.levels)
-    hists = _measure_levels(rm, n_min, n_max, args)
+    hists = _measure_levels(measure, n_min, n_max, args)
     table = table_from_histograms(hists, [2.0])
     est = estimate_D1(table)
     header = ["n", "H_lower", "H_upper", "slope_fit", "D_lo", "D_hi"]
@@ -140,8 +133,7 @@ def _cmd_entropy(args) -> None:
 
 
 def _cmd_fourier(args) -> None:
-    rm = load_measure_spec(args.ifs)
-    measure = measure_spectral(rm)
+    measure = load_measure_spec(args.ifs)
     xi_max = args.xi_max
     if xi_max is None:
         xi_max = args.xi0 * args.band_ratio ** args.bands
@@ -161,58 +153,27 @@ def _cmd_fourier(args) -> None:
 
 
 def _cmd_project(args) -> None:
-    rm = load_measure_spec(args.ifs)
-    if rm.kind != "ifs":
-        raise SpecError("project expects a plain system document")
-    ifs, p = rm.ifs, rm.p
-    if ifs.ambient_dim != 2:
-        raise SpecError("project needs a 2D system")
-    if abs(ifs.map.alpha or 0.0) <= 1e-15:
-        out, w = project_ifs(ifs, p, args.beta)
-        proj = ResolvedMeasure(kind="ifs", ifs=out, p=w, label=out.label)
-    else:
-        proj = ResolvedMeasure(kind="projection", ifs=ifs, p=p,
-                               beta=args.beta, label=ifs.label)
-    hist = measure_histogram(proj, args.n, extra_depth=args.extra_depth,
-                             word_budget=args.budget)
-    header, rows = _hist_rows(hist)
-    _emit(args.out, header, rows)
+    _emit_histogram(args, project_measure(load_measure_spec(args.ifs),
+                                          args.beta))
 
 
 def _cmd_convolve(args) -> None:
-    rm = load_measure_spec(args.ifs)
+    measure = load_measure_spec(args.ifs)
     if args.other is not None:
-        if rm.kind != "ifs":
+        if not isinstance(measure, SelfSimilarMeasure):
             raise SpecError("give either a derived document or --other, "
                             "not both")
-        rm2 = load_measure_spec(args.other)
-        if rm2.kind != "ifs":
-            raise SpecError("--other must be a plain system document")
-        rm = ResolvedMeasure(kind="convolution", u=args.u,
-                             parts=((rm.ifs, rm.p), (rm2.ifs, rm2.p)),
-                             label=f"{rm.label}*{rm2.label}")
-    elif rm.kind != "convolution":
+        measure = ConvolvedMeasure(measure, load_measure_spec(args.other),
+                                   args.u)
+    elif not isinstance(measure, ConvolvedMeasure):
         raise SpecError("document has no convolution derivation; pass --other")
-    hist = measure_histogram(rm, args.n, extra_depth=args.extra_depth,
-                             guard=args.guard, word_budget=args.budget)
-    header, rows = _hist_rows(hist)
-    _emit(args.out, header, rows)
+    _emit_histogram(args, measure)
 
 
 def _cmd_skipkeep(args) -> None:
-    from .transforms import skip_keep
-    rm = load_measure_spec(args.ifs)
-    if rm.kind != "ifs":
-        raise SpecError("skipkeep expects a plain system document")
-    pair = skip_keep(rm.ifs, rm.p, args.k, word_budget=args.budget)
-    if args.part == "skip":
-        ifs, p = pair.nu_ifs, pair.nu_weights
-    else:
-        ifs, p = pair.eta_scaled_ifs, pair.eta_weights
-    hist = histogram(ifs, p, args.n, extra_depth=args.extra_depth,
-                     word_budget=args.budget)
-    header, rows = _hist_rows(hist)
-    _emit(args.out, header, rows)
+    _emit_histogram(args, skip_keep_measure(load_measure_spec(args.ifs),
+                                            args.k, args.part,
+                                            word_budget=args.budget))
 
 
 def _ek_fixed_params(args, kind: str, exclude: str | None = None) -> dict:
@@ -271,11 +232,11 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_check(args) -> None:
     rows = []
-    rm = load_measure_spec(args.ifs)
+    measure = load_measure_spec(args.ifs)
     rows.append(("parse", "pass",
-                 f"kind={rm.kind}; label={rm.label or '(none)'}"))
-    if rm.kind == "ifs":
-        ifs, p = rm.ifs, rm.p
+                 f"kind={measure.kind}; label={measure.label or '(none)'}"))
+    if isinstance(measure, SelfSimilarMeasure):
+        ifs, p = measure.ifs, measure.p
         wsum = float(np.sum(p))
         rows.append(("weights", "pass" if abs(wsum - 1.0) <= 1e-12 else "fail",
                      f"sum={_fmt(wsum)}"))
@@ -292,7 +253,7 @@ def _cmd_check(args) -> None:
         rows.append(("sim_dim", "info",
                      _fmt(similarity_dimension(ifs, p))))
         rows.append(("entropy", "info", _fmt(entropy(p))))
-    hist = measure_histogram(rm, args.n, extra_depth=args.extra_depth,
+    hist = measure.histogram(args.n, extra_depth=args.extra_depth,
                              word_budget=args.budget)
     t_lo, t_up = hist.total_lower(), hist.total_upper()
     ok = (t_lo <= 1.0 + 1e-9) and (t_up >= 1.0 - 1e-9)

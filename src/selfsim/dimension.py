@@ -94,21 +94,11 @@ def build_moment_table(ifs: HomogeneousIfs, p, q_list, n_min: int = 6,
                        n_max: int = 20, extra_depth: int = 4,
                        word_budget: int | None = None) -> MomentTable:
     """Histogram the measure at each level n_min..n_max and tabulate bounds."""
-    p = check_weights(p, ifs.m)
-    qs = tuple(float(q) for q in np.atleast_1d(q_list))
     if n_max < n_min:
         raise SpecError("n_max must be >= n_min")
-    levels = tuple(range(int(n_min), int(n_max) + 1))
-    s_lo = np.zeros((len(levels), len(qs)))
-    s_hi = np.zeros_like(s_lo)
-    h_lo = np.zeros(len(levels))
-    h_hi = np.zeros(len(levels))
-    for i, n in enumerate(levels):
-        hist = histogram(ifs, p, n, extra_depth=extra_depth, word_budget=word_budget)
-        for j, q in enumerate(qs):
-            s_lo[i, j], s_hi[i, j] = moment_sums(hist, q)
-        h_lo[i], h_hi[i] = entropy_sum(hist)
-    return MomentTable(ifs.ambient_dim, levels, qs, s_lo, s_hi, h_lo, h_hi)
+    return table_from_histograms(
+        [histogram(ifs, p, n, extra_depth=extra_depth, word_budget=word_budget)
+         for n in range(int(n_min), int(n_max) + 1)], q_list)
 
 
 def table_from_histograms(hists, q_list) -> MomentTable:

@@ -78,86 +78,6 @@ def ft_eval(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     return complex(np.prod(factors)), float(err)
 
 
-def ft_projected_eval(ifs: HomogeneousIfs, p, beta: float, xi: float,
-                      tol: float = 1e-9):
-    """Transform of the projection onto the direction (cos beta, sin beta).
-
-    Equals the 2D transform restricted to the line through that direction.
-    """
-    if ifs.ambient_dim != 2:
-        raise SpecError("projection requires a 2D system")
-    direction = np.array([math.cos(beta), math.sin(beta)])
-    return ft_eval(ifs, p, float(xi) * direction, tol=tol)
-
-
-class IfsMeasure:
-    """A self-similar measure, directly evaluable."""
-
-    def __init__(self, ifs: HomogeneousIfs, p):
-        self.ifs = ifs
-        self.p = check_weights(p, ifs.m)
-
-    @property
-    def scalar_frequency(self) -> bool:
-        return self.ifs.ambient_dim == 1
-
-    def ft(self, xi, tol: float = 1e-9):
-        return ft_eval(self.ifs, self.p, xi, tol=tol)
-
-
-class ProjectedMeasure:
-    """Pushforward of a 2D measure under projection to a direction."""
-
-    def __init__(self, ifs: HomogeneousIfs, p, beta: float):
-        if ifs.ambient_dim != 2:
-            raise SpecError("ProjectedMeasure needs a 2D base system")
-        self.ifs = ifs
-        self.p = check_weights(p, ifs.m)
-        self.beta = float(beta)
-
-    scalar_frequency = True
-
-    def ft(self, xi, tol: float = 1e-9):
-        return ft_projected_eval(self.ifs, self.p, self.beta, xi, tol=tol)
-
-
-class ScaledMeasure:
-    """Pushforward under x -> u x; transform is xi -> base(u xi)."""
-
-    def __init__(self, base, u: float):
-        if u == 0.0:
-            raise SpecError("scaling factor u must be nonzero")
-        self.base = base
-        self.u = float(u)
-
-    @property
-    def scalar_frequency(self) -> bool:
-        return self.base.scalar_frequency
-
-    def ft(self, xi, tol: float = 1e-9):
-        return self.base.ft(self.u * xi, tol=tol)
-
-
-class ConvolvedMeasure:
-    """Convolution m1 * T_u m2; transform multiplies the factor transforms."""
-
-    def __init__(self, m1, m2, u: float = 1.0):
-        if u == 0.0:
-            raise SpecError("scaling factor u must be nonzero")
-        self.m1 = m1
-        self.m2 = m2
-        self.u = float(u)
-
-    @property
-    def scalar_frequency(self) -> bool:
-        return self.m1.scalar_frequency and self.m2.scalar_frequency
-
-    def ft(self, xi, tol: float = 1e-9):
-        v1, e1 = self.m1.ft(xi, tol=tol)
-        v2, e2 = self.m2.ft(self.u * xi, tol=tol)
-        return v1 * v2, e1 + e2 + e1 * e2
-
-
 @dataclass(frozen=True)
 class FourierProfile:
     """Sampled |mu-hat| values, per-band maxima, and the fitted decay rate.
@@ -198,6 +118,9 @@ def decay_fit(measure, xi_max: float, bands: int, samples_per_band: int = 64,
               tol: float = 1e-9, band_ratio: float = 2.0, xi0: float = 1.0,
               seed: int = 0) -> FourierProfile:
     """Fit a power-decay exponent to band maxima of |mu-hat|.
+
+    measure is any object with ft(xi, tol) and a true scalar_frequency,
+    such as the measure classes of selfsim.transforms.
 
     Bands are geometric, [xi0 ratio^k, xi0 ratio^(k+1)) for k < bands, and
     xi_max must reach the last band edge. Within each band one sample sits

@@ -11,6 +11,7 @@ per-cell interval [lower, upper] always brackets the true cell measure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,18 +120,14 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray,
     mx = float(np.max(np.abs(centers))) if centers.size else 0.0
     if mx * scale >= 2.0 ** 62:
         return centers, weights
-    if ambient_dim == 1:
-        keys = np.round(centers * scale).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys_sorted[1:] != keys_sorted[:-1])))
-    else:
-        keys = np.round(centers * scale).astype(np.int64)
-        keys_sorted_idx = np.lexsort((keys[:, 1], keys[:, 0]))
-        order = keys_sorted_idx
-        ks = keys[order]
-        change = (ks[1:, 0] != ks[:-1, 0]) | (ks[1:, 1] != ks[:-1, 1])
-        starts = np.flatnonzero(np.concatenate(([True], change)))
+    keys = np.round(centers * scale).astype(np.int64)
+    order = (np.argsort(keys, kind="stable") if ambient_dim == 1
+             else np.lexsort((keys[:, 1], keys[:, 0])))
+    ks = keys[order]
+    change = ks[1:] != ks[:-1]
+    if ambient_dim == 2:
+        change = change.any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], change)))
     if starts.size == centers.shape[0]:
         return centers, weights
     w_sorted = weights[order]
@@ -151,10 +148,7 @@ def _expand_words(ifs: HomogeneousIfs, p: np.ndarray, h: int, quantum: float,
                 f"word expansion needs {centers.shape[0] * ifs.m} rows at depth "
                 f"{j + 1}, over the budget {budget}")
         step = ifs.apply_power(j, a)
-        if ifs.ambient_dim == 1:
-            centers = (centers[:, None] + step[None, :]).ravel()
-        else:
-            centers = (centers[:, None, :] + step[None, :, :]).reshape(-1, 2)
+        centers = (centers[:, None] + step[None, :]).reshape(-1, *a.shape[1:])
         weights = (weights[:, None] * p[None, :]).ravel()
         centers, weights = _merge_close_points(centers, weights, quantum, ifs.ambient_dim)
     return centers, weights
@@ -177,54 +171,77 @@ def _aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
 
 def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
                            w_lower: np.ndarray, w_upper: np.ndarray,
-                           n: int, k_min: int, k_max: int, eps: float):
-    """Bin weighted intervals into level-n dyadic cells over [k_min, k_max].
+                           n: int, k_min, k_max, eps: float):
+    """Bin weighted intervals or boxes into level-n dyadic cells of a box.
 
-    w_lower feeds the contained-cell lower masses, w_upper the touched-cell
-    upper masses. Returns (indices, lower, upper) with absolute cell indices.
+    e_lo and e_hi hold the enclosure ends, shape (K,) for intervals with
+    scalar k_min, k_max, or (K, d) for boxes with one bound per axis.
+    w_lower feeds the lower mass of the cell containing an enclosure on
+    every axis, w_upper the upper mass of every cell it touches. Returns
+    (indices, lower, upper) with absolute cell indices.
     """
     scale = 2.0 ** n
-    c_lo = np.floor((e_lo + eps) * scale).astype(np.int64)
-    c_hi = np.floor((e_hi - eps) * scale).astype(np.int64)
-    contained = c_lo == c_hi
-    t_lo = np.floor((e_lo - eps) * scale).astype(np.int64)
-    t_hi = np.floor((e_hi + eps) * scale).astype(np.int64)
-    return _bin_cells(c_lo[contained], w_lower[contained], t_lo, t_hi,
-                      w_upper, k_min, k_max)
+    contained = True
+    low, t_lo, t_hi = [], [], []
+    # Rows of the transposed (1, K) or (d, K) views are per-axis coordinates.
+    for lo, hi in zip(np.atleast_2d(e_lo.T), np.atleast_2d(e_hi.T)):
+        c_lo = np.floor((lo + eps) * scale).astype(np.int64)
+        contained = contained & (c_lo == np.floor((hi - eps) * scale).astype(np.int64))
+        low.append(c_lo)
+        t_lo.append(np.floor((lo - eps) * scale).astype(np.int64))
+        t_hi.append(np.floor((hi + eps) * scale).astype(np.int64))
+    return _bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
+                      t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max))
 
 
-def _bin_cells(low_cells: np.ndarray, low_w: np.ndarray, t_lo: np.ndarray,
-               t_hi: np.ndarray, w_upper: np.ndarray, k_min: int, k_max: int):
+def _bin_cells(low_cells: list, low_w: np.ndarray, t_lo: list, t_hi: list,
+               w_upper: np.ndarray, k_min, k_max):
     """Sum masses already assigned to integer cells, clipped to [k_min, k_max].
 
-    low_w lands in low_cells; w_upper lands in every cell of [t_lo, t_hi].
-    The three cell arrays are overwritten (clipped to the box, low_cells
-    also shifted to start at 0), so callers pass arrays they own. Returns
-    (indices, lower, upper) over the cells with positive upper mass.
+    Cells come per axis, one integer array per axis in low_cells, t_lo and
+    t_hi, with one bound per axis in k_min and k_max. low_w lands in the
+    cell low_cells; w_upper lands in every cell of the box [t_lo, t_hi].
+    The cell arrays are overwritten (clipped to the box, low_cells also
+    shifted to start at 0), so callers pass arrays they own. Returns
+    (indices, lower, upper) over the cells with positive upper mass;
+    indices are flat in 1D and (K, d) otherwise.
     """
-    span = int(k_max - k_min + 1)
-    np.clip(low_cells, k_min, k_max, out=low_cells)
-    low_cells -= k_min
-    np.clip(t_lo, k_min, k_max, out=t_lo)
-    np.clip(t_hi, k_min, k_max, out=t_hi)
+    spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
+    for arr, k0, k1 in zip(low_cells, k_min, k_max):
+        np.clip(arr, k0, k1, out=arr)
+        arr -= k0
+    for cells in (t_lo, t_hi):
+        for arr, k0, k1 in zip(cells, k_min, k_max):
+            np.clip(arr, k0, k1, out=arr)
 
-    widths = t_hi - t_lo
-    up_cells_parts = []
-    up_w_parts = []
-    for off in range(int(widths.max()) + 1 if widths.size else 0):
-        mask = widths >= off
-        up_cells_parts.append(t_lo[mask] + off - k_min)
-        up_w_parts.append(w_upper[mask])
-    up_cells = np.concatenate(up_cells_parts) if up_cells_parts else np.empty(0, np.int64)
-    up_w = np.concatenate(up_w_parts) if up_w_parts else np.empty(0)
+    widths = [hi - lo for lo, hi in zip(t_lo, t_hi)]
+    up_cells, up_w = [np.empty(0, np.int64)], [np.empty(0)]
+    for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
+                                    for w in widths)):
+        mask = widths[0] >= offs[0]
+        for w, off in zip(widths[1:], offs[1:]):
+            mask &= w >= off
+        up_cells.append(_flat_code(
+            [lo[mask] + off - k0 for lo, off, k0 in zip(t_lo, offs, k_min)], spans))
+        up_w.append(w_upper[mask])
+    up_cells, up_w = np.concatenate(up_cells), np.concatenate(up_w)
 
-    lo_idx, lo_sum = _aggregate(low_cells, low_w, span)
+    span = math.prod(spans)
+    lo_idx, lo_sum = _aggregate(_flat_code(low_cells, spans), low_w, span)
     up_idx, up_sum = _aggregate(up_cells, up_w, span)
 
-    indices = up_idx + k_min
+    if len(spans) == 1:
+        indices = up_idx + k_min[0]
+    else:
+        indices = np.stack(np.unravel_index(up_idx, spans), axis=1) + np.asarray(k_min)
     upper = np.minimum(up_sum, 1.0)
     lower = _place_lower(up_idx, lo_idx, lo_sum)
     return indices, lower, upper
+
+
+def _flat_code(cells: list, spans: list) -> np.ndarray:
+    """Row-major code of per-axis cell offsets; no copy in 1D."""
+    return cells[0] if len(cells) == 1 else np.ravel_multi_index(tuple(cells), spans)
 
 
 def _place_lower(up_idx: np.ndarray, lo_idx: np.ndarray, lo_sum: np.ndarray) -> np.ndarray:
@@ -269,59 +286,11 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
 
     centers, weights = _expand_words(ifs, p, h, quantum, budget)
     rho = ifs.map.ratio ** h * r0
-    shift = ifs.apply_power(h, zs if ifs.ambient_dim == 1 else ifs.attractor_center)
-    if ifs.ambient_dim == 1:
-        centers = centers + float(np.asarray(shift).ravel()[0])
-    else:
-        centers = centers + shift
-
-    if ifs.ambient_dim == 1:
-        z = float(zs[0])
-        k0, k1 = _box_range(z - r0, z + r0, n, eps)
-        idx, lower, upper = bin_weighted_intervals(
-            centers - rho, centers + rho, weights, weights, n, k0, k1, eps)
-        return DyadicHistogram(1, n, h, (k0,), (k1,), idx, lower, upper)
-
-    kx0, kx1 = _box_range(zs[0] - r0, zs[0] + r0, n, eps)
-    ky0, ky1 = _box_range(zs[1] - r0, zs[1] + r0, n, eps)
-    scale = 2.0 ** n
-    span_y = int(ky1 - ky0 + 1)
-    ex_lo, ex_hi = centers[:, 0] - rho, centers[:, 0] + rho
-    ey_lo, ey_hi = centers[:, 1] - rho, centers[:, 1] + rho
-    cx_lo = np.floor((ex_lo + eps) * scale).astype(np.int64)
-    cx_hi = np.floor((ex_hi - eps) * scale).astype(np.int64)
-    cy_lo = np.floor((ey_lo + eps) * scale).astype(np.int64)
-    cy_hi = np.floor((ey_hi - eps) * scale).astype(np.int64)
-    contained = (cx_lo == cx_hi) & (cy_lo == cy_hi)
-    tx_lo = np.clip(np.floor((ex_lo - eps) * scale).astype(np.int64), kx0, kx1)
-    tx_hi = np.clip(np.floor((ex_hi + eps) * scale).astype(np.int64), kx0, kx1)
-    ty_lo = np.clip(np.floor((ey_lo - eps) * scale).astype(np.int64), ky0, ky1)
-    ty_hi = np.clip(np.floor((ey_hi + eps) * scale).astype(np.int64), ky0, ky1)
-
-    low_codes = ((np.clip(cx_lo[contained], kx0, kx1) - kx0) * span_y
-                 + (np.clip(cy_lo[contained], ky0, ky1) - ky0))
-    low_w = weights[contained]
-
-    wx = tx_hi - tx_lo
-    wy = ty_hi - ty_lo
-    code_parts = []
-    w_parts = []
-    for dx in range(int(wx.max()) + 1 if wx.size else 0):
-        mx = wx >= dx
-        for dy in range(int(wy[mx].max()) + 1 if np.any(mx) else 0):
-            mm = mx & (wy >= dy)
-            code_parts.append((tx_lo[mm] + dx - kx0) * span_y + (ty_lo[mm] + dy - ky0))
-            w_parts.append(weights[mm])
-    up_codes = np.concatenate(code_parts) if code_parts else np.empty(0, np.int64)
-    up_w = np.concatenate(w_parts) if w_parts else np.empty(0)
-
-    span = int(kx1 - kx0 + 1) * span_y
-    lo_idx, lo_sum = _aggregate(low_codes, low_w, span)
-    up_idx, up_sum = _aggregate(up_codes, up_w, span)
-    upper = np.minimum(up_sum, 1.0)
-    lower = _place_lower(up_idx, lo_idx, lo_sum)
-    indices = np.stack([up_idx // span_y + kx0, up_idx % span_y + ky0], axis=1)
-    return DyadicHistogram(2, n, h, (kx0, ky0), (kx1, ky1), indices, lower, upper)
+    centers = centers + ifs.apply_power(h, zs)
+    k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))
+    idx, lower, upper = bin_weighted_intervals(
+        centers - rho, centers + rho, weights, weights, n, k0, k1, eps)
+    return DyadicHistogram(ifs.ambient_dim, n, h, k0, k1, idx, lower, upper)
 
 
 def moment_sums(hist: DyadicHistogram, q: float) -> tuple[float, float]:

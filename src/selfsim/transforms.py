@@ -1,8 +1,10 @@
 """Derived measures: projections, convolutions, products, digit splits.
 
 Constructions that stay self-similar come back as plain systems plus
-weights. The ones that do not (projections of rotating systems,
-convolutions of unequal-ratio systems) are represented structurally and
+weights. Measures come in three classes with one interface (histogram,
+ft, scalar_frequency, kind, label): SelfSimilarMeasure, and the two that
+are not self-similar in general, ProjectedMeasure (a rotating planar
+measure pushed onto a line) and ConvolvedMeasure (m1 * T_u m2), which are
 consumed through histogram pushforward or transform multiplication.
 """
 
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, SpecError
-from .fourier import ConvolvedMeasure, IfsMeasure, ProjectedMeasure
+from .fourier import ft_eval
 from .histogram import (_EPS_BASE, DyadicHistogram, _aggregate, _bin_cells,
                         _box_range, bin_weighted_intervals, histogram)
 from .ifs import (WORD_BUDGET, HomogeneousIfs, Similarity, check_weights,
-                  cylinder_centers, ifs_from_json, uniform_weights,
-                  word_weights)
+                  cylinder_centers, ifs_from_json, word_weights)
 
 _MERGE_TOL = 1e-12
 _PAIR_BUDGET = 50_000_000
@@ -173,8 +174,8 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     up_codes, up_w = _pair_sums(up_blocks, span * nw)
     t_lo, widths = np.divmod(up_codes, nw)
     t_lo += base
-    idx, lower, upper = _bin_cells(low_cells + base, low_w, t_lo,
-                                   t_lo + widths, up_w, k0, k1)
+    idx, lower, upper = _bin_cells([low_cells + base], low_w, [t_lo],
+                                   [t_lo + widths], up_w, (k0,), (k1,))
     return DyadicHistogram(1, n_out, min(h1.depth_used, h2.depth_used),
                            (k0,), (k1,), idx, lower, upper)
 
@@ -183,24 +184,31 @@ def _pair_sums(blocks: list, length: int):
     """Sum w_rows[i] * w_cols[j] per code rows[i] + cols[j] in [0, length).
 
     blocks holds (rows, w_rows, cols, w_cols) tuples. Zero weights are
-    skipped. Pairs are formed about _PAIR_CHUNK at a time and folded into
-    the running sums once that many are pending, so memory stays bounded
-    by two chunks plus the occupied codes. Returns (codes, sums) sorted.
+    skipped. Pairs are formed about _PAIR_CHUNK at a time, written behind
+    the running sums in one buffer, and folded into them once that many
+    are pending, so memory stays bounded by two chunks plus the occupied
+    codes. Returns (codes, sums) sorted.
     """
-    codes, sums = [np.empty(0, np.int64)], [np.empty(0)]
-    pending = 0
+    blocks = [(r[wr > 0.0], wr[wr > 0.0], c[wc > 0.0], wc[wc > 0.0])
+              for r, wr, c, wc in blocks]
+    # Room for the running sums, the pairs pending and one more chunk.
+    size = (min(length, sum(r.size * c.size for r, _, c, _ in blocks))
+            + 2 * _PAIR_CHUNK + max([c.size for _, _, c, _ in blocks] + [0]))
+    codes, sums = np.empty(size, np.int64), np.empty(size)
+    used = pending = 0
     for rows, w_rows, cols, w_cols in blocks:
-        rows, w_rows = rows[w_rows > 0.0], w_rows[w_rows > 0.0]
-        cols, w_cols = cols[w_cols > 0.0], w_cols[w_cols > 0.0]
         step = max(1, _PAIR_CHUNK // max(1, cols.size))
         for i in range(0, rows.size, step):
-            codes.append((rows[i:i + step, None] + cols).ravel())
-            sums.append((w_rows[i:i + step, None] * w_cols).ravel())
-            pending += codes[-1].size
+            shape = (rows[i:i + step].size, cols.size)
+            end = used + shape[0] * shape[1]
+            np.add(rows[i:i + step, None], cols, out=codes[used:end].reshape(shape))
+            np.multiply(w_rows[i:i + step, None], w_cols, out=sums[used:end].reshape(shape))
+            used, pending = end, pending + end - used
             if pending >= _PAIR_CHUNK:
-                merged = _aggregate(np.concatenate(codes), np.concatenate(sums), length)
-                codes, sums, pending = [merged[0]], [merged[1]], 0
-    return _aggregate(np.concatenate(codes), np.concatenate(sums), length)
+                merged_codes, merged_sums = _aggregate(codes[:used], sums[:used], length)
+                used, pending = merged_codes.size, 0
+                codes[:used], sums[:used] = merged_codes, merged_sums
+    return _aggregate(codes[:used], sums[:used], length)
 
 
 @dataclass(frozen=True)
@@ -300,40 +308,141 @@ def product_ifs(ifs1: HomogeneousIfs, ifs2: HomogeneousIfs, p1, p2):
     return HomogeneousIfs(2, sim, translations, label=label), check_weights(weights)
 
 
-@dataclass(frozen=True)
-class ResolvedMeasure:
-    """A measure the pipelines can histogram or transform.
+class SelfSimilarMeasure:
+    """The self-similar measure of a system and its weights."""
 
-    kind is "ifs" (concrete system plus weights), "convolution" (two
-    concrete 1D parts and a scale u), or "projection" (a rotating 2D base
-    with a direction, reachable only through pushforward or restriction).
+    kind = "ifs"
+
+    def __init__(self, ifs: HomogeneousIfs, p):
+        self.ifs = ifs
+        self.p = check_weights(p, ifs.m)
+        self.label = ifs.label
+        self.scalar_frequency = ifs.ambient_dim == 1
+
+    def histogram(self, n: int, extra_depth: int = 4, guard: int = 4,
+                  word_budget: int | None = None) -> DyadicHistogram:
+        """Level-n histogram; guard is unused (only convolutions need it)."""
+        return histogram(self.ifs, self.p, n, extra_depth=extra_depth,
+                         word_budget=word_budget)
+
+    def ft(self, xi, tol: float = 1e-9):
+        return ft_eval(self.ifs, self.p, xi, tol=tol)
+
+
+class ProjectedMeasure:
+    """Pushforward of a planar self-similar measure onto a direction.
+
+    Reached only through histogram pushforward and through the planar
+    transform restricted to the line of (cos beta, sin beta); projections
+    of rotation-free systems are self-similar again (see project_measure).
     """
 
-    kind: str
-    ifs: HomogeneousIfs | None = None
-    p: np.ndarray | None = None
-    beta: float | None = None
-    u: float | None = None
-    parts: tuple | None = None
-    label: str = ""
+    kind = "projection"
+    scalar_frequency = True
+
+    def __init__(self, base: SelfSimilarMeasure, beta: float):
+        self.base = base
+        self.beta = float(beta)
+        self.label = f"{base.label}|proj{beta:.6g}"
+
+    def histogram(self, n: int, extra_depth: int = 4, guard: int = 4,
+                  word_budget: int | None = None) -> DyadicHistogram:
+        """The planar level-n histogram pushed onto the direction."""
+        return histogram_project(
+            self.base.histogram(n, extra_depth=extra_depth,
+                                word_budget=word_budget), self.beta, n)
+
+    def ft(self, xi, tol: float = 1e-9):
+        direction = np.array([math.cos(self.beta), math.sin(self.beta)])
+        return self.base.ft(float(xi) * direction, tol=tol)
 
 
-def resolve_spec(doc: dict, base_dir: str = ".") -> ResolvedMeasure:
-    """Interpret a measure document, following its derive clause if present."""
-    ifs, p = ifs_from_json(doc)
+class ConvolvedMeasure:
+    """The convolution m1 * T_u m2 of two 1D self-similar measures."""
+
+    kind = "convolution"
+    scalar_frequency = True
+
+    def __init__(self, m1: SelfSimilarMeasure, m2: SelfSimilarMeasure,
+                 u: float = 1.0):
+        _require_plain(m1)
+        _require_plain(m2)
+        if m1.ifs.ambient_dim != 1 or m2.ifs.ambient_dim != 1:
+            raise SpecError("convolution needs two 1D systems")
+        if u == 0.0:
+            raise SpecError("convolution scale u must be nonzero")
+        self.m1 = m1
+        self.m2 = m2
+        self.u = float(u)
+        self.label = f"{m1.label}*{m2.label}"
+
+    def histogram(self, n: int, extra_depth: int = 4, guard: int = 4,
+                  word_budget: int | None = None) -> DyadicHistogram:
+        """Both factors histogrammed at level n + guard, then convolved."""
+        h1, h2 = (m.histogram(n + guard, extra_depth=extra_depth,
+                              word_budget=word_budget)
+                  for m in (self.m1, self.m2))
+        return convolve_hist(h1, h2, self.u, n_out=n)
+
+    def ft(self, xi, tol: float = 1e-9):
+        """Product of the factor transforms.
+
+        Each factor gets the bound t = sqrt(1 + tol) - 1 (written without
+        cancellation), so the product's bound e1 + e2 + e1 e2 <= 2t + t^2
+        stays within tol.
+        """
+        if tol <= 0.0:
+            raise SpecError("tol must be positive")
+        t = tol / (1.0 + math.sqrt(1.0 + tol))
+        v1, e1 = self.m1.ft(xi, tol=t)
+        v2, e2 = self.m2.ft(self.u * xi, tol=t)
+        return v1 * v2, e1 + e2 + e1 * e2
+
+
+def _require_plain(m) -> None:
+    if not isinstance(m, SelfSimilarMeasure):
+        raise SpecError(f"expected a plain system, got a {m.kind}; "
+                        "nested derivations are not supported")
+
+
+def project_measure(m: SelfSimilarMeasure, beta: float):
+    """Projection onto the direction at angle beta.
+
+    Rotation-free planar systems project exactly to a self-similar
+    measure (project_ifs); rotating ones give a ProjectedMeasure.
+    """
+    _require_plain(m)
+    if abs(m.ifs.map.alpha or 0.0) <= 1e-15:
+        return SelfSimilarMeasure(*project_ifs(m.ifs, m.p, beta))
+    return ProjectedMeasure(m, beta)
+
+
+def skip_keep_measure(m: SelfSimilarMeasure, k: int, part: str,
+                      word_budget: int | None = None) -> SelfSimilarMeasure:
+    """The "skip" (nu_k) or "keep" (scaled eta_k) factor of skip_keep."""
+    _require_plain(m)
+    pair = skip_keep(m.ifs, m.p, k, word_budget=word_budget)
+    if part == "skip":
+        return SelfSimilarMeasure(pair.nu_ifs, pair.nu_weights)
+    if part == "keep":
+        return SelfSimilarMeasure(pair.eta_scaled_ifs, pair.eta_weights)
+    raise SpecError("skip_keep part must be 'skip' or 'keep'")
+
+
+def resolve_spec(doc: dict, base_dir: str = "."):
+    """Interpret a measure document, following its derive clause if present.
+
+    Returns a SelfSimilarMeasure, a ProjectedMeasure or a ConvolvedMeasure.
+    """
+    base = SelfSimilarMeasure(*ifs_from_json(doc))
     derive = doc.get("derive")
     if derive is None:
-        return ResolvedMeasure(kind="ifs", ifs=ifs, p=p, label=ifs.label)
+        return base
     if not isinstance(derive, dict) or "kind" not in derive:
         raise SpecError("derive clause must be an object with a kind")
     kind = derive["kind"]
     if kind == "projection":
-        beta = float(derive.get("beta", 0.0))
-        if abs(ifs.map.alpha or 0.0) <= 1e-15:
-            out, w = project_ifs(ifs, p, beta)
-            return ResolvedMeasure(kind="ifs", ifs=out, p=w, label=out.label)
-        return ResolvedMeasure(kind="projection", ifs=ifs, p=p, beta=beta,
-                               label=f"{ifs.label}|proj{beta:.6g}")
+        return project_measure(base, float(derive.get("beta", 0.0)))
     if kind in ("convolution", "product"):
         other = derive.get("other")
         if other is None:
@@ -344,30 +453,14 @@ def resolve_spec(doc: dict, base_dir: str = ".") -> ResolvedMeasure:
             other_doc = other
         else:
             raise SpecError("'other' must be a path or an inline document")
-        rm2 = resolve_spec(other_doc, base_dir=base_dir)
-        if rm2.kind != "ifs":
-            raise SpecError("nested derivations are not supported")
+        m2 = resolve_spec(other_doc, base_dir=base_dir)
         if kind == "product":
-            out, w = product_ifs(ifs, rm2.ifs, p, rm2.p)
-            return ResolvedMeasure(kind="ifs", ifs=out, p=w, label=out.label)
-        u = float(derive.get("u", 1.0))
-        if u == 0.0:
-            raise SpecError("convolution scale u must be nonzero")
-        return ResolvedMeasure(kind="convolution", u=u,
-                               parts=((ifs, p), (rm2.ifs, rm2.p)),
-                               label=f"{ifs.label}*{rm2.ifs.label}")
+            _require_plain(m2)
+            return SelfSimilarMeasure(*product_ifs(base.ifs, m2.ifs, base.p, m2.p))
+        return ConvolvedMeasure(base, m2, float(derive.get("u", 1.0)))
     if kind == "skip_keep":
-        k = int(derive.get("k", 0))
-        part = derive.get("part", "skip")
-        pair = skip_keep(ifs, p, k)
-        if part == "skip":
-            return ResolvedMeasure(kind="ifs", ifs=pair.nu_ifs,
-                                   p=pair.nu_weights, label=pair.nu_ifs.label)
-        if part == "keep":
-            scaled = pair.eta_scaled_ifs
-            return ResolvedMeasure(kind="ifs", ifs=scaled,
-                                   p=pair.eta_weights, label=scaled.label)
-        raise SpecError("skip_keep part must be 'skip' or 'keep'")
+        return skip_keep_measure(base, int(derive.get("k", 0)),
+                                 derive.get("part", "skip"))
     raise SpecError(f"unknown derive kind {kind!r}")
 
 
@@ -382,43 +475,7 @@ def _load_json(path: str) -> dict:
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def load_measure_spec(path: str) -> ResolvedMeasure:
+def load_measure_spec(path: str):
     """Load a measure document from disk, resolving relative references."""
     doc = _load_json(path)
     return resolve_spec(doc, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def measure_histogram(rm: ResolvedMeasure, n: int, extra_depth: int = 4,
-                      guard: int = 4, word_budget: int | None = None) -> DyadicHistogram:
-    """Histogram any resolved measure at level n.
-
-    Convolutions histogram both parts at level n + guard first; rotating
-    projections histogram the planar base and push it down.
-    """
-    if rm.kind == "ifs":
-        return histogram(rm.ifs, rm.p, n, extra_depth=extra_depth,
-                         word_budget=word_budget)
-    if rm.kind == "convolution":
-        (i1, p1), (i2, p2) = rm.parts
-        h1 = histogram(i1, p1, n + guard, extra_depth=extra_depth,
-                       word_budget=word_budget)
-        h2 = histogram(i2, p2, n + guard, extra_depth=extra_depth,
-                       word_budget=word_budget)
-        return convolve_hist(h1, h2, rm.u, n_out=n)
-    if rm.kind == "projection":
-        base = histogram(rm.ifs, rm.p, n, extra_depth=extra_depth,
-                         word_budget=word_budget)
-        return histogram_project(base, rm.beta, n)
-    raise SpecError(f"cannot histogram measure kind {rm.kind!r}")
-
-
-def measure_spectral(rm: ResolvedMeasure):
-    """Wrap a resolved measure for Fourier evaluation."""
-    if rm.kind == "ifs":
-        return IfsMeasure(rm.ifs, rm.p)
-    if rm.kind == "convolution":
-        (i1, p1), (i2, p2) = rm.parts
-        return ConvolvedMeasure(IfsMeasure(i1, p1), IfsMeasure(i2, p2), rm.u)
-    if rm.kind == "projection":
-        return ProjectedMeasure(rm.ifs, rm.p, rm.beta)
-    raise SpecError(f"cannot evaluate measure kind {rm.kind!r}")

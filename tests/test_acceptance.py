@@ -12,13 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfsim import (EkSpec, HomogeneousIfs, IfsMeasure, Similarity,
-                     build_moment_table, check_submultiplicativity,
-                     closed_form_Dq, convolve_hist, ek_badness,
-                     ek_count_sequences, estimate_D1, estimate_Dq, ft_eval,
-                     histogram, measure_histogram, project_ifs,
-                     ResolvedMeasure, similarity_dimension, skip_keep,
-                     table_from_histograms, uniform_weights)
+from selfsim import (ConvolvedMeasure, EkSpec, HomogeneousIfs,
+                     SelfSimilarMeasure, Similarity, build_moment_table,
+                     check_submultiplicativity, closed_form_Dq, convolve_hist,
+                     ek_badness, ek_count_sequences, estimate_D1, estimate_Dq,
+                     ft_eval, histogram, project_ifs, similarity_dimension,
+                     skip_keep, table_from_histograms, uniform_weights)
 from selfsim.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -235,9 +234,9 @@ def test_criterion_7_convolution_dimension(acceptance, cantor13, cantor14):
     ok = True
     for u in (1.0, 0.7):
         t0 = time.perf_counter()
-        rm = ResolvedMeasure(kind="convolution", u=u,
-                             parts=((i1, p1), (i2, p2)), label="c13*c14")
-        hists = [measure_histogram(rm, n, guard=4) for n in range(6, 17)]
+        conv = ConvolvedMeasure(SelfSimilarMeasure(i1, p1),
+                                SelfSimilarMeasure(i2, p2), u)
+        hists = [conv.histogram(n, guard=4) for n in range(6, 17)]
         est = estimate_Dq(table_from_histograms(hists, [2.0]), 2.0)
         dt = time.perf_counter() - t0
         in_range = 0.93 <= est.point <= 1.02

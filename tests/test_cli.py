@@ -109,6 +109,16 @@ def test_convolve_csv(specs, tmp_path):
     lows = sum(float(r[2]) for r in rows)
     ups = sum(float(r[3]) for r in rows)
     assert lows <= 1.0 + 1e-9 <= ups + 1e-9
+    # the derived document and --other build the same convolution
+    out_doc = tmp_path / "cv_doc.csv"
+    assert main(["convolve", "--ifs", specs["conv"], "--n", "7",
+                 "-o", str(out_doc)]) == 0
+    assert out_doc.read_bytes() == out.read_bytes()
+    assert main(["convolve", "--ifs", specs["c13"], "--n", "7"]) == 2
+    assert main(["convolve", "--ifs", specs["conv"], "--other", specs["c14"],
+                 "--n", "7"]) == 2
+    assert main(["convolve", "--ifs", specs["c13"], "--other", specs["conv"],
+                 "--n", "7"]) == 2
 
 
 def test_skipkeep_csv(specs, tmp_path):
@@ -200,6 +210,22 @@ def test_exit_codes(specs, tmp_path):
                  "--budget", "4"]) == 3
     assert main(["fourier", "--ifs", specs["golden"], "--bands", "5",
                  "--tol", "1e-16"]) == 4
+    assert main(["project", "--ifs", specs["conv"], "--beta", "1.0"]) == 2
+    assert main(["project", "--ifs", specs["c13"], "--beta", "1.0"]) == 2
+    assert main(["skipkeep", "--ifs", specs["c13"], "--k", "3",
+                 "--budget", "8"]) == 3
+
+
+def test_fourier_convolution(specs, tmp_path):
+    """Convolution documents split tol between the two factor transforms."""
+    out = tmp_path / "fc.csv"
+    assert main(["fourier", "--ifs", specs["conv"], "--bands", "6",
+                 "--samples-per-band", "8", "--tol", "1e-12",
+                 "-o", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert all(float(r[2]) <= 1e-12 for r in rows)
+    assert main(["fourier", "--ifs", specs["conv"], "--bands", "5",
+                 "--tol", "1e-15"]) == 4
 
 
 def test_help_exits_zero():

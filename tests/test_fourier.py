@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from selfsim import (BudgetError, ConvolvedMeasure, HomogeneousIfs,
-                     IfsMeasure, PrecisionError, ProjectedMeasure,
-                     ScaledMeasure, Similarity, SpecError, decay_fit, ft_eval,
-                     ft_projected_eval, uniform_weights)
+                     PrecisionError, ProjectedMeasure, SelfSimilarMeasure,
+                     Similarity, SpecError, decay_fit, ft_eval,
+                     uniform_weights)
 
 GOLDEN_FLOOR = 0.006613493036060793
 
@@ -91,7 +91,7 @@ def test_projected_transform_matches_merge(four_corner):
     beta = math.pi / 4
     merged, w = project_ifs(ifs, p, beta)
     for x in (0.9, 4.2, 17.0):
-        v_rest, _ = ft_projected_eval(ifs, p, beta, x)
+        v_rest, _ = ProjectedMeasure(SelfSimilarMeasure(ifs, p), beta).ft(x)
         v_1d, _ = ft_eval(merged, w, x)
         assert v_rest == pytest.approx(v_1d, abs=1e-9)
 
@@ -99,25 +99,37 @@ def test_projected_transform_matches_merge(four_corner):
 def test_convolved_and_scaled_measures(cantor13, cantor14):
     i1, p1 = cantor13
     i2, p2 = cantor14
-    conv = ConvolvedMeasure(IfsMeasure(i1, p1), IfsMeasure(i2, p2), u=0.7)
-    scaled = ScaledMeasure(IfsMeasure(i2, p2), 0.7)
+    m1, m2 = SelfSimilarMeasure(i1, p1), SelfSimilarMeasure(i2, p2)
+    conv = ConvolvedMeasure(m1, m2, u=0.7)
     for x in (0.8, 5.0):
         v, err = conv.ft(x)
-        v1, _ = IfsMeasure(i1, p1).ft(x)
-        v2, _ = scaled.ft(x)
+        v1, _ = m1.ft(x)
+        v2, _ = m2.ft(0.7 * x)
         assert v == pytest.approx(v1 * v2, abs=1e-9)
         assert abs(v) <= 1.0 + err
     # self-convolution squares the transform
-    auto = ConvolvedMeasure(IfsMeasure(i1, p1), IfsMeasure(i1, p1))
+    auto = ConvolvedMeasure(m1, m1)
     v, _ = auto.ft(2.2)
-    base, _ = IfsMeasure(i1, p1).ft(2.2)
+    base, _ = m1.ft(2.2)
     assert v == pytest.approx(base ** 2, abs=1e-9)
+
+
+def test_convolution_bound_within_tol(cantor13, cantor14):
+    """Each factor gets sqrt(1 + tol) - 1, so the product bound stays <= tol."""
+    conv = ConvolvedMeasure(SelfSimilarMeasure(*cantor13),
+                            SelfSimilarMeasure(*cantor14), u=0.7)
+    tol = 1e-12
+    prof = decay_fit(conv, 2.0 ** 12, 12, samples_per_band=16, tol=tol)
+    assert np.all(prof.error_bound <= tol)
+    assert np.all(prof.abs_value <= 1.0 + prof.error_bound)
+    with pytest.raises(PrecisionError):
+        conv.ft(3.0, tol=1e-15)
 
 
 def test_decay_fit_lebesgue(lebesgue_unit):
     """|sinc|-type decay fits sigma near 1."""
     ifs, p = lebesgue_unit
-    prof = decay_fit(IfsMeasure(ifs, p), 2.0 ** 14, 14,
+    prof = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 ** 14, 14,
                      samples_per_band=32, seed=0)
     assert prof.sigma_hat == pytest.approx(1.0065437724, abs=1e-6)
     assert prof.fdim_est == pytest.approx(2 * prof.sigma_hat)
@@ -126,7 +138,7 @@ def test_decay_fit_lebesgue(lebesgue_unit):
 def test_decay_fit_cantor_resonant_bands(cantor13):
     """Sampling bands in ratio 3 reveals the non-decaying subsequence."""
     ifs, p = cantor13
-    prof = decay_fit(IfsMeasure(ifs, p), 2.0 * 3.0 ** 12, 12,
+    prof = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 * 3.0 ** 12, 12,
                      samples_per_band=16, band_ratio=3.0, xi0=2.0, seed=0)
     assert prof.sigma_hat <= 1e-10
     tail = prof.band_max[-4:]
@@ -135,8 +147,8 @@ def test_decay_fit_cantor_resonant_bands(cantor13):
 
 def test_decay_fit_deterministic(golden_bc):
     ifs, p = golden_bc
-    a = decay_fit(IfsMeasure(ifs, p), 2.0 ** 10, 10, samples_per_band=8, seed=3)
-    b = decay_fit(IfsMeasure(ifs, p), 2.0 ** 10, 10, samples_per_band=8, seed=3)
+    a = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 ** 10, 10, samples_per_band=8, seed=3)
+    b = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 ** 10, 10, samples_per_band=8, seed=3)
     assert np.array_equal(a.xi, b.xi)
     assert np.array_equal(a.abs_value, b.abs_value)
     assert a.sigma_hat == b.sigma_hat
@@ -145,15 +157,15 @@ def test_decay_fit_deterministic(golden_bc):
 def test_decay_fit_validation(four_corner, cantor13):
     ifs2, p2 = four_corner
     with pytest.raises(SpecError):
-        decay_fit(IfsMeasure(ifs2, p2), 100.0, 5)
+        decay_fit(SelfSimilarMeasure(ifs2, p2), 100.0, 5)
     ifs, p = cantor13
     with pytest.raises(SpecError):
-        decay_fit(IfsMeasure(ifs, p), 2.0, 8)  # xi_max below the band range
+        decay_fit(SelfSimilarMeasure(ifs, p), 2.0, 8)  # xi_max below the band range
 
 
 def test_projected_measure_object(four_corner):
     ifs, p = four_corner
-    pm = ProjectedMeasure(ifs, p, 1.0)
+    pm = ProjectedMeasure(SelfSimilarMeasure(ifs, p), 1.0)
     v, err = pm.ft(3.0)
     assert abs(v) <= 1.0 + err
     prof = decay_fit(pm, 2.0 ** 8, 8, samples_per_band=8)

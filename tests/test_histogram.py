@@ -1,10 +1,16 @@
 """Certified dyadic histograms: sandwich bounds, moments, entropy sums."""
 
+import itertools
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from selfsim import (BudgetError, PrecisionError, SpecError, dyadic_depth,
-                     entropy_sum, histogram, moment_sums)
+from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
+                     SpecError, dyadic_depth, entropy_sum, histogram,
+                     moment_sums, uniform_weights)
+from selfsim.histogram import _EPS_BASE, _box_range
 
 
 def test_lebesgue_exact(lebesgue_unit):
@@ -84,6 +90,79 @@ def test_histogram_2d(four_corner, cantor13):
             assert lo <= up_x * up_y + 1e-15
         else:
             assert lo <= 1e-15
+
+
+def _reference_histogram_2d(ifs, p, n, extra_depth):
+    """Per-word loop: each enclosure square is binned on its own, axis by axis.
+
+    Same depth, enclosure radius, eps and box as histogram(); word centers
+    are accumulated in the same order, so only the summation order of the
+    cell masses differs. Also returns how many enclosures touch at least
+    two cells on both axes.
+    """
+    h = dyadic_depth(ifs, n, extra_depth)
+    z = np.asarray(ifs.attractor_center, dtype=float)
+    r0 = ifs.attractor_radius
+    eps = _EPS_BASE * max(1.0, float(np.max(np.abs(z)) + r0))
+    rho = ifs.map.ratio ** h * r0
+    box = [_box_range(c - r0, c + r0, n, eps) for c in z]
+    steps = [ifs.apply_power(j, ifs.translations) for j in range(h)]
+    shift = ifs.apply_power(h, z)
+    scale = 2.0 ** n
+    lower, upper = defaultdict(float), defaultdict(float)
+    multi = 0
+    for word in itertools.product(range(ifs.m), repeat=h):
+        c = steps[0][word[0]].copy()
+        w = p[word[0]]
+        for j in range(1, h):
+            c = c + steps[j][word[j]]
+            w = w * p[word[j]]
+        c = c + shift
+        inside, touched = [], []
+        for a in range(2):
+            lo, hi = c[a] - rho, c[a] + rho
+            k0, k1 = box[a]
+            in_lo = math.floor((lo + eps) * scale)
+            inside.append(min(max(in_lo, k0), k1)
+                          if in_lo == math.floor((hi - eps) * scale) else None)
+            t0 = min(max(math.floor((lo - eps) * scale), k0), k1)
+            t1 = min(max(math.floor((hi + eps) * scale), k0), k1)
+            touched.append(range(t0, t1 + 1))
+        if None not in inside:
+            lower[tuple(inside)] += w
+        for cell in itertools.product(*touched):
+            upper[cell] += w
+        multi += len(touched[0]) > 1 and len(touched[1]) > 1
+    return lower, upper, multi
+
+
+@pytest.mark.parametrize("name", ["four_corner", "golden_rotation"])
+def test_histogram_2d_matches_per_word_reference(name, four_corner):
+    """The generic binning path agrees cell by cell with a per-word loop."""
+    if name == "four_corner":
+        ifs, p = four_corner
+    else:
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=golden),
+                             four_corner[0].translations)
+        p = uniform_weights(4)
+    multi_total = 0
+    for n in range(3, 7):
+        for extra_depth in (0, 4):
+            if ifs.m ** dyadic_depth(ifs, n, extra_depth) > 20_000:
+                continue
+            lower, upper, multi = _reference_histogram_2d(ifs, p, n, extra_depth)
+            multi_total += multi
+            hist = histogram(ifs, p, n, extra_depth=extra_depth)
+            got = {tuple(k): (lo, up) for k, lo, up in
+                   zip(hist.indices.tolist(), hist.lower, hist.upper)}
+            assert set(got) == set(upper)
+            for cell, (lo, up) in got.items():
+                ref_up = min(upper[cell], 1.0)
+                ref_lo = min(lower.get(cell, 0.0), 1.0)
+                assert abs(up - ref_up) <= 1e-15 + 1e-14 * ref_up
+                assert abs(lo - ref_lo) <= 1e-15 + 1e-14 * ref_lo
+    assert multi_total > 0, "no enclosure touched several cells on both axes"
 
 
 def test_budget_error(cantor13):

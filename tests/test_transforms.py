@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from selfsim import (BudgetError, DyadicHistogram, HomogeneousIfs, Similarity,
                      SpecError, convolve_hist, histogram, histogram_project,
-                     iterate_ifs, load_measure_spec, measure_histogram,
-                     measure_spectral, product_ifs, project_ifs, resolve_spec,
+                     iterate_ifs, load_measure_spec, product_ifs, project_ifs,
+                     resolve_spec,
                      similarity_dimension, skip_keep, transforms,
                      uniform_weights)
 from selfsim.histogram import _EPS_BASE, _box_range, bin_weighted_intervals
@@ -328,13 +328,11 @@ def test_resolve_convolution_document(tmp_path):
     rm = load_measure_spec(str(path))
     assert rm.kind == "convolution"
     assert rm.u == pytest.approx(0.7)
-    (i1, _), (i2, _) = rm.parts
-    assert i1.map.ratio == pytest.approx(1 / 3)
-    assert i2.map.ratio == pytest.approx(0.25)
-    h = measure_histogram(rm, 8)
+    assert rm.m1.ifs.map.ratio == pytest.approx(1 / 3)
+    assert rm.m2.ifs.map.ratio == pytest.approx(0.25)
+    h = rm.histogram(8)
     assert h.total_upper() >= 1.0 - 1e-12
-    spectral = measure_spectral(rm)
-    v, err = spectral.ft(1.5)
+    v, err = rm.ft(1.5)
     assert abs(v) <= 1.0 + err
 
 
@@ -377,7 +375,7 @@ def test_resolve_projection_document(four_corner):
            "derive": {"kind": "projection", "beta": 1.0}}
     rm2 = resolve_spec(rot)
     assert rm2.kind == "projection"
-    h = measure_histogram(rm2, 6)
+    h = rm2.histogram(6)
     assert h.ambient_dim == 1
     assert h.total_upper() >= 1.0 - 1e-12
 
