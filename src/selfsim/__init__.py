@@ -20,9 +20,9 @@ from .histogram import (DyadicHistogram, dyadic_depth, entropy_sum, histogram,
                         moment_sums)
 from .ifs import (WORD_BUDGET, HomogeneousIfs, SeparationCertificate,
                   Similarity, check_strong_separation, check_weights,
-                  coding_map_partial, cylinder_ball, cylinder_centers,
-                  entropy, ifs_from_json, ifs_to_json, similarity_dimension,
-                  uniform_weights, unrank_word, word_weights)
+                  coding_map_partial, cylinder_ball, cylinder_words, entropy,
+                  ifs_from_json, ifs_to_json, similarity_dimension,
+                  uniform_weights, unrank_word)
 from .transforms import (ConvolvedMeasure, ProjectedMeasure,
                          SelfSimilarMeasure, SkipKeepPair, convolve_hist,
                          histogram_project, iterate_ifs, load_measure_spec,

@@ -296,7 +296,7 @@ class AcDecision:
 
 
 def ac_predicate(d: int, dp_est: DimEstimate, fdim_est: float, p: float) -> AcDecision:
-    """Decide the L^q-density prediction from certified inputs.
+    """Decide the L^q-density prediction from calibrated inputs.
 
     For p in (1, 2] the hypothesis is d - D_p < fdim; for p > 2 it is
     (p-1)(d - D_p) < fdim. The conservative lower interval end of the

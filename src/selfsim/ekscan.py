@@ -182,6 +182,21 @@ class EkCountReport:
     rates: tuple
 
 
+def _first_terms(theta: float, w: tuple, inf: int) -> dict:
+    """Candidates K_1 in [theta - w_g, theta^2 + w_g], with the minimal bad
+    count per flag g of the first index (inf where g does not admit K_1)."""
+    first = {}
+    for g in (0, 1):
+        lo = math.ceil(theta - w[g] - 1e-12)
+        hi = math.floor(theta * theta + w[g] + 1e-12)
+        for k in range(lo, hi + 1):
+            b = [inf, inf]
+            b[g] = g
+            prev = first.get(k)
+            first[k] = b if prev is None else [min(prev[0], b[0]), min(prev[1], b[1])]
+    return first
+
+
 def _count_convolutions(theta1: float, N: int, c: float, delta: float) -> list:
     """Count distinct (K_1..K_n) with |K_{j+1} - theta1 K_j| within slack.
 
@@ -194,25 +209,9 @@ def _count_convolutions(theta1: float, N: int, c: float, delta: float) -> list:
     w = (c, 0.5)
     inf = N + 1
     max_bad_final = math.floor(delta * N + 1e-9)
-
-    def seeds():
-        out = {}
-        for g in (0, 1):
-            lo = math.ceil(theta1 - w[g] - 1e-12)
-            hi = math.floor(theta1 * theta1 + w[g] + 1e-12)
-            for k in range(lo, hi + 1):
-                b = [inf, inf]
-                b[g] = g
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = b
-                else:
-                    out[k] = [min(prev[0], b[0]), min(prev[1], b[1])]
-        return out
-
     counts = [0] * (N + 1)
     nodes = 0
-    frontier = seeds()
+    frontier = _first_terms(theta1, w, inf)
     for n in range(1, N + 1):
         max_bad_n = math.floor(delta * n + 1e-9)
         counts[n] = sum(1 for b in frontier.values()
@@ -267,15 +266,7 @@ def _count_translations(theta: float, N: int, c: float, delta: float) -> list:
     counts = [0] * (N + 1)
     nodes = 0
 
-    first = {}
-    for g in (0, 1):
-        lo = math.ceil(theta - w[g] - 1e-12)
-        hi = math.floor(theta * theta + w[g] + 1e-12)
-        for k in range(lo, hi + 1):
-            b = [inf, inf]
-            b[g] = g
-            prev = first.get(k)
-            first[k] = b if prev is None else [min(prev[0], b[0]), min(prev[1], b[1])]
+    first = _first_terms(theta, w, inf)
     counts[1] = sum(1 for b in first.values() if min(b) <= math.floor(delta + 1e-9))
     if N == 1:
         return counts

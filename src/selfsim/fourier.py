@@ -3,8 +3,9 @@
 With the kernel exp(i pi <x, xi>) the transform factors as the infinite
 product over n >= 0 of Phi_n(xi) = sum_j p_j exp(i pi <T^n a_j, xi>).
 Truncating after N factors costs at most pi r^N max|a| |xi| / (1 - r)
-because every factor lies in the closed unit disc, which gives a certified
-error bound alongside each evaluated value.
+because every factor lies in the closed unit disc. That bound is reported
+alongside each evaluated value; it covers the truncation only, not the
+float rounding of the phases, which grows with |xi|.
 """
 
 from __future__ import annotations
@@ -15,17 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PrecisionError, SpecError
-from .ifs import HomogeneousIfs, check_weights
+from .ifs import HomogeneousIfs, check_weights, max_norm
 
 _MAX_FACTORS = 1 << 20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _max_translation_norm(ifs: HomogeneousIfs) -> float:
-    a = ifs.translations
-    if ifs.ambient_dim == 1:
-        return float(np.max(np.abs(a)))
-    return float(np.max(np.hypot(a[:, 0], a[:, 1])))
 
 
 def ft_eval(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
@@ -42,19 +36,13 @@ def ft_eval(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
         raise PrecisionError("tol below 1e-15 is not resolvable in float64")
     r = ifs.map.ratio
     a = ifs.translations.astype(float)
-    if ifs.ambient_dim == 1:
-        xi_arr = np.asarray(xi, dtype=float).ravel()
-        if xi_arr.size != 1:
-            raise SpecError("1D systems take one frequency per call")
-        xi_val = float(xi_arr[0])
-        xi_norm = abs(xi_val)
-    else:
-        xi_vec = np.asarray(xi, dtype=float).ravel()
-        if xi_vec.size != 2:
-            raise SpecError("2D systems need a length-2 frequency vector")
-        xi_norm = float(np.hypot(xi_vec[0], xi_vec[1]))
+    xi_vec = np.asarray(xi, dtype=float).ravel()
+    if xi_vec.size != ifs.ambient_dim:
+        raise SpecError(f"{ifs.ambient_dim}D systems take a frequency of "
+                        f"length {ifs.ambient_dim} per call")
+    xi_norm = abs(float(xi_vec[0])) if ifs.ambient_dim == 1 else float(np.hypot(*xi_vec))
 
-    base = math.pi * _max_translation_norm(ifs) * xi_norm / (1.0 - r)
+    base = math.pi * max_norm(ifs.translations) * xi_norm / (1.0 - r)
     if base <= tol:
         return complex(1.0), float(base)
     n_factors = math.ceil(math.log(tol / base) / math.log(r))
@@ -66,7 +54,7 @@ def ft_eval(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     ns = np.arange(n_factors)
     if ifs.ambient_dim == 1:
         lam_pows = ifs.lam ** ns
-        phases = math.pi * xi_val * np.outer(lam_pows, a)
+        phases = math.pi * float(xi_vec[0]) * np.outer(lam_pows, a)
     else:
         ang = 2.0 * math.pi * ((ifs.map.alpha * ns) % 1.0)
         r_pows = r ** ns

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, PrecisionError, SpecError
-from .ifs import WORD_BUDGET, HomogeneousIfs, check_weights
+from .errors import PrecisionError, SpecError
+from .ifs import HomogeneousIfs, cylinder_words
 
 _EPS_BASE = 1e-14
 _DENSE_SPAN_CAP = 1 << 23
@@ -104,54 +104,6 @@ def dyadic_depth(ifs: HomogeneousIfs, n: int, extra_depth: int = 4) -> int:
     while h0 > 1 and r ** (h0 - 1 + 1) <= 2.0 ** -n:
         h0 -= 1
     return max(1, h0) + extra_depth
-
-
-def _merge_close_points(centers: np.ndarray, weights: np.ndarray,
-                        quantum: float, ambient_dim: int):
-    """Merge words whose partial sums agree to within the quantum.
-
-    Keeps the lexicographically first representative per group. Purely an
-    optimization for overlapping (lattice-like) systems; skipping it only
-    costs memory, never correctness.
-    """
-    if centers.shape[0] < 4096:
-        return centers, weights
-    scale = 1.0 / quantum
-    mx = float(np.max(np.abs(centers))) if centers.size else 0.0
-    if mx * scale >= 2.0 ** 62:
-        return centers, weights
-    keys = np.round(centers * scale).astype(np.int64)
-    order = (np.argsort(keys, kind="stable") if ambient_dim == 1
-             else np.lexsort((keys[:, 1], keys[:, 0])))
-    ks = keys[order]
-    change = ks[1:] != ks[:-1]
-    if ambient_dim == 2:
-        change = change.any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], change)))
-    if starts.size == centers.shape[0]:
-        return centers, weights
-    w_sorted = weights[order]
-    merged_w = np.add.reduceat(w_sorted, starts)
-    merged_c = centers[order[starts]]
-    return merged_c, merged_w
-
-
-def _expand_words(ifs: HomogeneousIfs, p: np.ndarray, h: int, quantum: float,
-                  budget: int):
-    """Level-by-level enumeration of depth-h cylinder centers and weights."""
-    a = ifs.translations.astype(float)
-    centers = a.copy()
-    weights = p.astype(float).copy()
-    for j in range(1, h):
-        if centers.shape[0] * ifs.m > budget:
-            raise BudgetError(
-                f"word expansion needs {centers.shape[0] * ifs.m} rows at depth "
-                f"{j + 1}, over the budget {budget}")
-        step = ifs.apply_power(j, a)
-        centers = (centers[:, None] + step[None, :]).reshape(-1, *a.shape[1:])
-        weights = (weights[:, None] * p[None, :]).ravel()
-        centers, weights = _merge_close_points(centers, weights, quantum, ifs.ambient_dim)
-    return centers, weights
 
 
 def _aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
@@ -270,8 +222,6 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
     geometric cost in enumerated words. The default of 4 keeps sandwich
     gaps below about one percent for separated examples up to n = 20.
     """
-    p = check_weights(p, ifs.m)
-    budget = WORD_BUDGET if word_budget is None else word_budget
     h = dyadic_depth(ifs, n, extra_depth)
 
     zs = np.atleast_1d(ifs.attractor_center).astype(float)
@@ -282,9 +232,9 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
             f"level {n} cells are below float64 resolution for coordinates "
             f"of magnitude {coord_bound:g}")
     eps = _EPS_BASE * max(1.0, coord_bound)
-    quantum = 2.0 ** -(n + _MERGE_GUARD_BITS)
 
-    centers, weights = _expand_words(ifs, p, h, quantum, budget)
+    centers, weights = cylinder_words(ifs, p, h, word_budget,
+                                      merge_quantum=2.0 ** -(n + _MERGE_GUARD_BITS))
     rho = ifs.map.ratio ** h * r0
     centers = centers + ifs.apply_power(h, zs)
     k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))

@@ -129,22 +129,19 @@ class HomogeneousIfs:
     @property
     def attractor_radius(self) -> float:
         """Radius of the centered ball B(z*, R) containing the attractor."""
-        d = self.translations - self.mean_translation
-        if self.ambient_dim == 1:
-            mx = float(np.max(np.abs(d)))
-        else:
-            mx = float(np.max(np.hypot(d[:, 0], d[:, 1])))
-        return mx / (1.0 - self.map.ratio)
+        return max_norm(self.translations - self.mean_translation) / (1.0 - self.map.ratio)
 
     @property
     def coarse_radius(self) -> float:
         """Uncentered bound max|a_j| / (1 - r), used for word tail radii."""
-        a = self.translations
-        if self.ambient_dim == 1:
-            mx = float(np.max(np.abs(a)))
-        else:
-            mx = float(np.max(np.hypot(a[:, 0], a[:, 1])))
-        return mx / (1.0 - self.map.ratio)
+        return max_norm(self.translations) / (1.0 - self.map.ratio)
+
+
+def max_norm(points: np.ndarray) -> float:
+    """Largest Euclidean norm among points of shape (k,) or (k, 2)."""
+    if points.ndim == 1:
+        return float(np.max(np.abs(points)))
+    return float(np.max(np.hypot(points[:, 0], points[:, 1])))
 
 
 def check_weights(p, m: int | None = None) -> np.ndarray:
@@ -226,48 +223,71 @@ def cylinder_ball(ifs: HomogeneousIfs, word):
     """
     w = _check_word(ifs, word)
     c, _ = coding_map_partial(ifs, w)
-    shift = ifs.apply_power(w.size, np.atleast_1d(ifs.attractor_center)
-                            if ifs.ambient_dim == 1 else ifs.attractor_center)
-    if ifs.ambient_dim == 1:
-        center = c + float(np.asarray(shift).ravel()[0])
-    else:
-        center = c + shift
+    center = c + ifs.apply_power(w.size, ifs.attractor_center)
     return center, ifs.map.ratio ** w.size * ifs.attractor_radius
 
 
-def cylinder_centers(ifs: HomogeneousIfs, length: int, word_budget: int | None = None) -> np.ndarray:
-    """Partial coding-map sums for every word in [m]^length, lexicographic.
+def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float):
+    """Merge words whose partial sums agree to within the quantum.
 
-    The last symbol varies fastest. Shape (m^length,) in 1D and
-    (m^length, 2) in 2D. No merging is performed.
+    Keeps the lexicographically first representative per group. Purely an
+    optimization for overlapping (lattice-like) systems; skipping it only
+    costs memory, never correctness.
     """
-    budget = WORD_BUDGET if word_budget is None else word_budget
+    if centers.shape[0] < 4096:
+        return centers, weights
+    scale = 1.0 / quantum
+    mx = float(np.max(np.abs(centers))) if centers.size else 0.0
+    if mx * scale >= 2.0 ** 62:
+        return centers, weights
+    keys = np.round(centers * scale).astype(np.int64)
+    order = (np.argsort(keys, kind="stable") if centers.ndim == 1
+             else np.lexsort((keys[:, 1], keys[:, 0])))
+    ks = keys[order]
+    change = ks[1:] != ks[:-1]
+    if centers.ndim == 2:
+        change = change.any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    if starts.size == centers.shape[0]:
+        return centers, weights
+    w_sorted = weights[order]
+    merged_w = np.add.reduceat(w_sorted, starts)
+    merged_c = centers[order[starts]]
+    return merged_c, merged_w
+
+
+def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None = None,
+                   merge_quantum: float | None = None):
+    """Partial coding-map sums and product weights of the words in [m]^length.
+
+    Returns (centers, weights); row i is the word unrank_word(i, length, m),
+    last symbol fastest, and centers have shape (rows,) in 1D, (rows, 2) in
+    2D. Words grow one symbol per level; a level of more than word_budget
+    rows raises BudgetError. merge_quantum merges words whose sums agree to
+    within it after each level (_merge_close_points), dropping rows.
+    """
     if length < 1:
         raise SpecError("word length must be >= 1")
-    if ifs.m ** length > budget:
-        raise BudgetError(f"{ifs.m}^{length} words exceed the budget {budget}")
-    a = ifs.translations
-    cur = a.astype(float)
-    for j in range(1, length):
+    budget = WORD_BUDGET if word_budget is None else word_budget
+    p = check_weights(p, ifs.m)
+    a = ifs.translations.astype(float)
+    # Level j appends the symbol at position j + 1 to the empty word.
+    centers, weights = np.zeros((1,) + a.shape[1:]), np.ones(1)
+    for j in range(length):
+        if centers.shape[0] * ifs.m > budget:
+            raise BudgetError(
+                f"word expansion needs {centers.shape[0] * ifs.m} rows at depth "
+                f"{j + 1}, over the budget {budget}")
         step = ifs.apply_power(j, a)
-        if ifs.ambient_dim == 1:
-            cur = (cur[:, None] + step[None, :]).ravel()
-        else:
-            cur = (cur[:, None, :] + step[None, :, :]).reshape(-1, 2)
-    return cur
-
-
-def word_weights(p, length: int) -> np.ndarray:
-    """Product weights p_w over [m]^length in the same lexicographic order."""
-    arr = check_weights(p)
-    cur = arr.astype(float)
-    for _ in range(1, length):
-        cur = (cur[:, None] * arr[None, :]).ravel()
-    return cur
+        centers = (centers[:, None] + step[None, :]).reshape(-1, *a.shape[1:])
+        weights = (weights[:, None] * p[None, :]).ravel()
+        if merge_quantum is not None:
+            centers, weights = _merge_close_points(centers, weights, merge_quantum)
+    return centers, weights
 
 
 def unrank_word(index: int, length: int, m: int) -> tuple[int, ...]:
-    """Inverse of the lexicographic enumeration used by cylinder_centers."""
+    """Inverse of the lexicographic enumeration used by cylinder_words."""
     digits = []
     for _ in range(length):
         digits.append(index % m + 1)
@@ -303,45 +323,24 @@ def check_strong_separation(ifs: HomogeneousIfs, depth: int,
     """
     if depth < 1:
         raise SpecError("separation depth must be >= 1")
-    budget = WORD_BUDGET if word_budget is None else word_budget
-    if ifs.m ** depth > budget:
-        raise BudgetError(f"{ifs.m}^{depth} words exceed the budget {budget}")
-
-    if depth == 1:
-        suffix = np.zeros(1) if ifs.ambient_dim == 1 else np.zeros((1, 2))
-    else:
-        suffix = cylinder_centers(ifs, depth - 1, word_budget=budget)
-    zs = ifs.attractor_center
-    shift = ifs.apply_power(depth, np.atleast_1d(zs) if ifs.ambient_dim == 1 else zs)
-    rho = ifs.map.ratio ** depth * ifs.attractor_radius
-
-    groups = []
-    for j in range(ifs.m):
-        a_j = ifs.translations[j]
-        if ifs.ambient_dim == 1:
-            centers = a_j + ifs.apply_power(1, suffix) + float(np.asarray(shift).ravel()[0])
-        else:
-            centers = a_j + ifs.apply_power(1, suffix) + shift
-        groups.append(centers)
-
-    gap = 2.0 * rho
+    centers = cylinder_words(ifs, uniform_weights(ifs.m), depth, word_budget)[0]
+    centers += ifs.apply_power(depth, ifs.attractor_center)
+    gap = 2.0 * ifs.map.ratio ** depth * ifs.attractor_radius
+    # Words sharing a first symbol form one contiguous block of rows.
+    size = centers.shape[0] // ifs.m
     block = 4096
     for j in range(ifs.m):
         for j2 in range(j + 1, ifs.m):
-            cj, ck = groups[j], groups[j2]
-            for start in range(0, len(cj) if ifs.ambient_dim == 2 else cj.size, block):
-                cj_blk = cj[start:start + block]
-                if ifs.ambient_dim == 1:
-                    close = np.abs(cj_blk[:, None] - ck[None, :]) <= gap
-                else:
-                    diff = cj_blk[:, None, :] - ck[None, :, :]
-                    close = diff[..., 0] ** 2 + diff[..., 1] ** 2 <= gap * gap
+            ck = centers[j2 * size:(j2 + 1) * size]
+            for start in range(j * size, (j + 1) * size, block):
+                diff = centers[start:min(start + block, (j + 1) * size), None] - ck[None]
+                close = (np.abs(diff, out=diff) <= gap if ifs.ambient_dim == 1
+                         else diff[..., 0] ** 2 + diff[..., 1] ** 2 <= gap * gap)
                 if np.any(close):
-                    i_loc, i2 = np.argwhere(close)[0]
-                    idx1 = start + int(i_loc)
-                    w1 = (j + 1,) + (unrank_word(idx1, depth - 1, ifs.m) if depth > 1 else ())
-                    w2 = (j2 + 1,) + (unrank_word(int(i2), depth - 1, ifs.m) if depth > 1 else ())
-                    return SeparationCertificate("Inconclusive", depth, (w1, w2))
+                    i1, i2 = np.argwhere(close)[0]
+                    return SeparationCertificate("Inconclusive", depth, (
+                        unrank_word(start + int(i1), depth, ifs.m),
+                        unrank_word(j2 * size + int(i2), depth, ifs.m)))
     return SeparationCertificate("Separated", depth)
 
 
@@ -361,6 +360,18 @@ def ifs_to_json(ifs: HomogeneousIfs, p=None) -> dict:
     return doc
 
 
+def parse_field(convert, value, name: str):
+    """convert(value), reporting a malformed value as a SpecError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"field {name!r}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def ifs_from_json(doc) -> tuple[HomogeneousIfs, np.ndarray]:
     """Build (ifs, weights) from a parsed JSON document or a JSON string.
 
@@ -378,17 +389,18 @@ def ifs_from_json(doc) -> tuple[HomogeneousIfs, np.ndarray]:
         if key not in doc:
             raise SpecError(f"IFS document missing field {key!r}")
     dim = doc["ambient_dim"]
+    ratio = parse_field(float, doc["ratio"], "ratio")
     if dim == 1:
-        sim = Similarity(ratio=float(doc["ratio"]), sign=int(doc.get("sign", 1)))
+        sim = Similarity(ratio=ratio, sign=parse_field(int, doc.get("sign", 1), "sign"))
     elif dim == 2:
-        sim = Similarity(ratio=float(doc["ratio"]), alpha=float(doc.get("alpha", 0.0)))
+        sim = Similarity(ratio=ratio, alpha=parse_field(float, doc.get("alpha", 0.0), "alpha"))
     else:
         raise SpecError(f"ambient_dim must be 1 or 2, got {dim!r}")
     ifs = HomogeneousIfs(ambient_dim=dim, map=sim,
-                         translations=np.asarray(doc["translations"], dtype=float),
+                         translations=parse_field(_floats, doc["translations"], "translations"),
                          label=str(doc.get("label", "")))
     if "weights" in doc:
-        p = check_weights(doc["weights"], ifs.m)
+        p = check_weights(parse_field(_floats, doc["weights"], "weights"), ifs.m)
     else:
         p = uniform_weights(ifs.m)
     return ifs, p

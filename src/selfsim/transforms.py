@@ -21,8 +21,8 @@ from .errors import BudgetError, SpecError
 from .fourier import ft_eval
 from .histogram import (_EPS_BASE, DyadicHistogram, _aggregate, _bin_cells,
                         _box_range, bin_weighted_intervals, histogram)
-from .ifs import (WORD_BUDGET, HomogeneousIfs, Similarity, check_weights,
-                  cylinder_centers, ifs_from_json, word_weights)
+from .ifs import (HomogeneousIfs, Similarity, check_weights, cylinder_words,
+                  ifs_from_json, parse_field)
 
 _MERGE_TOL = 1e-12
 _PAIR_BUDGET = 50_000_000
@@ -253,11 +253,7 @@ def skip_keep(ifs: HomogeneousIfs, p, k: int,
     if k < 2:
         raise SpecError("skip/keep stride k must be >= 2")
     p = check_weights(p, ifs.m)
-    budget = WORD_BUDGET if word_budget is None else word_budget
-    if ifs.m ** (k - 1) > budget:
-        raise BudgetError(f"{ifs.m}^{k - 1} block words exceed the budget")
-    blocks = cylinder_centers(ifs, k - 1, word_budget=budget)
-    bw = word_weights(p, k - 1)
+    blocks, bw = cylinder_words(ifs, p, k - 1, word_budget)
     sim_k = _power_similarity(ifs, k)
     nu = HomogeneousIfs(ifs.ambient_dim, sim_k, blocks,
                         label=f"{ifs.label}|skip{k}" if ifs.label else f"skip{k}")
@@ -276,8 +272,7 @@ def iterate_ifs(ifs: HomogeneousIfs, p, k: int,
     p = check_weights(p, ifs.m)
     if k == 1:
         return ifs, p
-    centers = cylinder_centers(ifs, k, word_budget=word_budget)
-    weights = word_weights(p, k)
+    centers, weights = cylinder_words(ifs, p, k, word_budget)
     out = HomogeneousIfs(ifs.ambient_dim, _power_similarity(ifs, k), centers,
                          label=f"{ifs.label}^/{k}" if ifs.label else "")
     return out, check_weights(weights)
@@ -442,7 +437,8 @@ def resolve_spec(doc: dict, base_dir: str = "."):
         raise SpecError("derive clause must be an object with a kind")
     kind = derive["kind"]
     if kind == "projection":
-        return project_measure(base, float(derive.get("beta", 0.0)))
+        return project_measure(
+            base, parse_field(float, derive.get("beta", 0.0), "derive.beta"))
     if kind in ("convolution", "product"):
         other = derive.get("other")
         if other is None:
@@ -457,10 +453,12 @@ def resolve_spec(doc: dict, base_dir: str = "."):
         if kind == "product":
             _require_plain(m2)
             return SelfSimilarMeasure(*product_ifs(base.ifs, m2.ifs, base.p, m2.p))
-        return ConvolvedMeasure(base, m2, float(derive.get("u", 1.0)))
+        return ConvolvedMeasure(
+            base, m2, parse_field(float, derive.get("u", 1.0), "derive.u"))
     if kind == "skip_keep":
-        return skip_keep_measure(base, int(derive.get("k", 0)),
-                                 derive.get("part", "skip"))
+        return skip_keep_measure(
+            base, parse_field(int, derive.get("k", 0), "derive.k"),
+            derive.get("part", "skip"))
     raise SpecError(f"unknown derive kind {kind!r}")
 
 

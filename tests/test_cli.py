@@ -195,7 +195,15 @@ def test_stdout_default(specs, capsys):
     assert captured.out.startswith("check_name,status,detail")
 
 
-def test_exit_codes(specs, tmp_path):
+MALFORMED = [(C13, "ratio", "x"), (C13, "ratio", None), (C13, "sign", "x"),
+             (C13, "translations", ["a", 1]),
+             (FOUR, "translations", [[0.0, 0.0], [1.0]]),
+             (C13, "weights", ["a", "b"]),
+             (FOUR, "derive", {"kind": "projection", "beta": "x"}),
+             (C13, "derive", {"kind": "skip_keep", "k": "x"})]
+
+
+def test_exit_codes(specs, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
     assert main(["dim"]) == 1
@@ -214,6 +222,12 @@ def test_exit_codes(specs, tmp_path):
     assert main(["project", "--ifs", specs["c13"], "--beta", "1.0"]) == 2
     assert main(["skipkeep", "--ifs", specs["c13"], "--k", "3",
                  "--budget", "8"]) == 3
+    # a field of the wrong type is an invalid document, not a crash
+    for base, field, value in MALFORMED:
+        bad.write_text(json.dumps(dict(base, **{field: value})))
+        capsys.readouterr()
+        assert main(["check", "--ifs", str(bad)]) == 2, (field, value)
+        assert field in capsys.readouterr().err
 
 
 def test_fourier_convolution(specs, tmp_path):

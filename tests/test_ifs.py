@@ -1,17 +1,19 @@
 """System construction, coding map, separation, and JSON round trips."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfsim import (HomogeneousIfs, InvalidWordError, Similarity, SpecError,
-                     check_strong_separation, check_weights,
-                     coding_map_partial, cylinder_ball, cylinder_centers,
+from selfsim import (BudgetError, HomogeneousIfs, InvalidWordError, Similarity,
+                     SpecError, check_strong_separation, check_weights,
+                     coding_map_partial, cylinder_ball, cylinder_words,
                      entropy, ifs_from_json, ifs_to_json,
-                     similarity_dimension, uniform_weights, unrank_word,
-                     word_weights)
+                     similarity_dimension, uniform_weights, unrank_word)
 
 
 def test_similarity_validation():
@@ -117,15 +119,119 @@ def test_cylinder_ball_contains_deeper_centers(cantor13):
 
 def test_cylinder_enumeration(cantor13):
     ifs, p = cantor13
-    centers = cylinder_centers(ifs, 2)
+    centers, w = cylinder_words(ifs, p, 2)
     assert np.allclose(centers, [0.0, 2 / 9, 2 / 3, 8 / 9])
-    w = word_weights(p, 2)
     assert w.sum() == pytest.approx(1.0)
     # unrank agrees with the enumeration order
     for idx in range(4):
         word = unrank_word(idx, 2, ifs.m)
         c, _ = coding_map_partial(ifs, word)
         assert c == pytest.approx(centers[idx])
+
+
+@st.composite
+def _systems(draw):
+    """Random 1D systems of either sign and 2D rotating ones, with weights."""
+    dim = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(2, 4))
+    ratio = draw(st.floats(0.1, 0.9))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    if dim == 1:
+        sim = Similarity(ratio=ratio, sign=draw(st.sampled_from([-1, 1])))
+        a = draw(st.lists(coord, min_size=m, max_size=m, unique=True))
+    else:
+        sim = Similarity(ratio=ratio, alpha=draw(st.floats(0.0, 0.999)))
+        a = draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m,
+                          unique=True))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    return HomogeneousIfs(dim, sim, np.array(a)), raw / raw.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_systems(), length=st.integers(1, 5))
+def test_cylinder_words_match_coding_map(system, length):
+    """Row i is the word unrank_word(i): its partial sum and product weight."""
+    ifs, p = system
+    centers, weights = cylinder_words(ifs, p, length)
+    assert centers.shape == (ifs.m ** length,) + ifs.translations.shape[1:]
+    scale = ifs.coarse_radius
+    for i in range(ifs.m ** length):
+        word = unrank_word(i, length, ifs.m)
+        c, _ = coding_map_partial(ifs, word)
+        assert np.max(np.abs(centers[i] - c)) <= 1e-12 * scale
+        assert weights[i] == pytest.approx(math.prod(p[s - 1] for s in word),
+                                           rel=1e-14)
+
+
+def test_cylinder_words_budget():
+    three = HomogeneousIfs(1, Similarity(ratio=0.3, sign=1),
+                           np.array([0.0, 0.35, 0.7]))
+    p = uniform_weights(3)
+    with pytest.raises(BudgetError) as err:
+        cylinder_words(three, p, 1, word_budget=2)
+    assert "3 rows at depth 1" in str(err.value)
+    with pytest.raises(BudgetError) as err:
+        cylinder_words(three, p, 4, word_budget=80)
+    assert "81 rows at depth 4" in str(err.value)
+    assert cylinder_words(three, p, 4, word_budget=81)[0].shape == (81,)
+    assert cylinder_words(three, p, 1, word_budget=3)[0].shape == (3,)
+    with pytest.raises(SpecError):
+        cylinder_words(three, p, 0)
+
+
+def test_cylinder_words_merge(golden_bc):
+    """Merging keeps the total weight and moves no center by more than
+    one quantum per merged level."""
+    ifs, p = golden_bc
+    length, quantum = 14, 2.0 ** -30
+    full_c, full_w = cylinder_words(ifs, p, length)
+    assert full_c.size == 2 ** length > 4096
+    merged_c, merged_w = cylinder_words(ifs, p, length, merge_quantum=quantum)
+    assert merged_c.size < 2 ** length
+    assert abs(merged_w.sum() - full_w.sum()) <= 1e-12
+    assert abs(merged_w.sum() - 1.0) <= 1e-12
+    ref = np.sort(full_c)
+    pos = np.clip(np.searchsorted(ref, merged_c), 1, ref.size - 1)
+    nearest = np.minimum(np.abs(ref[pos] - merged_c), np.abs(ref[pos - 1] - merged_c))
+    assert np.all(nearest <= (length - 1) * quantum)
+
+
+def _brute_force_overlap(ifs, depth):
+    """Every pair of depth-length words with different first symbols whose
+    cylinder balls meet, by a plain loop over cylinder_ball."""
+    words = list(itertools.product(range(1, ifs.m + 1), repeat=depth))
+    balls = {w: cylinder_ball(ifs, w) for w in words}
+    pairs = []
+    for w1, w2 in itertools.combinations(words, 2):
+        if w1[0] != w2[0]:
+            (c1, r1), (c2, r2) = balls[w1], balls[w2]
+            if np.linalg.norm(np.atleast_1d(c1 - c2)) <= r1 + r2:
+                pairs.append((w1, w2))
+    return pairs, balls
+
+
+@pytest.mark.parametrize("name,depth", [("golden", 8), ("rotating_overlap", 5),
+                                        ("rotating_four_corner", 3)])
+def test_separation_matches_brute_force(name, depth, golden_bc, four_corner):
+    if name == "golden":
+        ifs = golden_bc[0]
+    elif name == "rotating_overlap":
+        ifs = HomogeneousIfs(2, Similarity(ratio=0.6, alpha=0.1),
+                             np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
+    else:
+        ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.25),
+                             four_corner[0].translations)
+    cert = check_strong_separation(ifs, depth)
+    pairs, balls = _brute_force_overlap(ifs, depth)
+    assert cert.depth == depth
+    assert cert.separated == (not pairs)
+    if not cert.separated:
+        w1, w2 = cert.overlap
+        assert len(w1) == len(w2) == depth
+        assert w1[0] != w2[0]
+        (c1, _), (c2, _) = balls[w1], balls[w2]
+        rho = ifs.map.ratio ** depth * ifs.attractor_radius
+        assert np.linalg.norm(np.atleast_1d(c1 - c2)) <= 2 * rho + 1e-12
 
 
 def test_separation_cantor(cantor13):
