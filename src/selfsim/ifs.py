@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import BudgetError, InvalidWordError, SpecError
 WORD_BUDGET = 2 ** 24
 
 _WEIGHT_TOL = 1e-12
+# Word pairs compared at a time by the separation check.
+_PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -227,44 +230,17 @@ def cylinder_ball(ifs: HomogeneousIfs, word):
     return center, ifs.map.ratio ** w.size * ifs.attractor_radius
 
 
-def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float):
-    """Merge words whose partial sums agree to within the quantum.
-
-    Keeps the lexicographically first representative per group. Purely an
-    optimization for overlapping (lattice-like) systems; skipping it only
-    costs memory, never correctness.
-    """
-    if centers.shape[0] < 4096:
-        return centers, weights
-    scale = 1.0 / quantum
-    mx = float(np.max(np.abs(centers))) if centers.size else 0.0
-    if mx * scale >= 2.0 ** 62:
-        return centers, weights
-    keys = np.round(centers * scale).astype(np.int64)
-    order = (np.argsort(keys, kind="stable") if centers.ndim == 1
-             else np.lexsort((keys[:, 1], keys[:, 0])))
-    ks = keys[order]
-    change = ks[1:] != ks[:-1]
-    if centers.ndim == 2:
-        change = change.any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], change)))
-    if starts.size == centers.shape[0]:
-        return centers, weights
-    w_sorted = weights[order]
-    merged_w = np.add.reduceat(w_sorted, starts)
-    merged_c = centers[order[starts]]
-    return merged_c, merged_w
-
-
 def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None = None,
-                   merge_quantum: float | None = None):
+                   level_hook=None):
     """Partial coding-map sums and product weights of the words in [m]^length.
 
     Returns (centers, weights); row i is the word unrank_word(i, length, m),
     last symbol fastest, and centers have shape (rows,) in 1D, (rows, 2) in
     2D. Words grow one symbol per level; a level of more than word_budget
-    rows raises BudgetError. merge_quantum merges words whose sums agree to
-    within it after each level (_merge_close_points), dropping rows.
+    rows raises BudgetError. level_hook(depth, centers, weights), when
+    given, runs after each level and returns the rows that go on growing,
+    so a caller may merge or drop rows (histogram() does both) and the
+    budget then bounds the rows it keeps.
     """
     if length < 1:
         raise SpecError("word length must be >= 1")
@@ -281,8 +257,8 @@ def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None 
         step = ifs.apply_power(j, a)
         centers = (centers[:, None] + step[None, :]).reshape(-1, *a.shape[1:])
         weights = (weights[:, None] * p[None, :]).ravel()
-        if merge_quantum is not None:
-            centers, weights = _merge_close_points(centers, weights, merge_quantum)
+        if level_hook is not None:
+            centers, weights = level_hook(j + 1, centers, weights)
     return centers, weights
 
 
@@ -328,20 +304,47 @@ def check_strong_separation(ifs: HomogeneousIfs, depth: int,
     gap = 2.0 * ifs.map.ratio ** depth * ifs.attractor_radius
     # Words sharing a first symbol form one contiguous block of rows.
     size = centers.shape[0] // ifs.m
-    block = 4096
     for j in range(ifs.m):
         for j2 in range(j + 1, ifs.m):
-            ck = centers[j2 * size:(j2 + 1) * size]
-            for start in range(j * size, (j + 1) * size, block):
-                diff = centers[start:min(start + block, (j + 1) * size), None] - ck[None]
-                close = (np.abs(diff, out=diff) <= gap if ifs.ambient_dim == 1
-                         else diff[..., 0] ** 2 + diff[..., 1] ** 2 <= gap * gap)
-                if np.any(close):
-                    i1, i2 = np.argwhere(close)[0]
-                    return SeparationCertificate("Inconclusive", depth, (
-                        unrank_word(start + int(i1), depth, ifs.m),
-                        unrank_word(j2 * size + int(i2), depth, ifs.m)))
+            hit = _first_close_pair(centers[j * size:(j + 1) * size],
+                                    centers[j2 * size:(j2 + 1) * size], gap)
+            if hit is not None:
+                return SeparationCertificate("Inconclusive", depth, (
+                    unrank_word(j * size + hit[0], depth, ifs.m),
+                    unrank_word(j2 * size + hit[1], depth, ifs.m)))
     return SeparationCertificate("Separated", depth)
+
+
+def _first_close_pair(a: np.ndarray, b: np.ndarray, gap: float):
+    """First (i, k), by i then k, with |a[i] - b[k]| <= gap, or None.
+
+    Only the rows of b whose first coordinate lies within reach of a[i]'s,
+    found by binary search in a sorted copy, are compared, and at most
+    _PAIR_CHUNK pairs are formed at a time, so memory stays linear in the
+    rows. reach exceeds gap by the rounding of the differences, so every
+    pair the distance test accepts is compared.
+    """
+    ka, kb = (a, b) if a.ndim == 1 else (a[:, 0], b[:, 0])
+    order = np.argsort(kb, kind="stable")
+    sb = kb[order]
+    reach = 1.001 * gap + 2.0 * np.spacing(max(np.max(np.abs(ka)), np.max(np.abs(kb))))
+    lo = np.searchsorted(sb, ka - reach, "left")
+    counts = np.searchsorted(sb, ka + reach, "right") - lo
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    start = 0
+    while start < a.shape[0]:
+        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + _PAIR_CHUNK, "right")))
+        rows = np.repeat(np.arange(start, stop), counts[start:stop])
+        ks = order[lo[rows] + np.arange(rows.size) + starts[start] - starts[rows]]
+        diff = a[rows] - b[ks]
+        close = (np.abs(diff) <= gap if a.ndim == 1
+                 else diff[:, 0] ** 2 + diff[:, 1] ** 2 <= gap * gap)
+        if np.any(close):
+            rows, ks = rows[close], ks[close]
+            return int(rows[0]), int(ks[rows == rows[0]].min())
+        start = stop
+    return None
 
 
 def ifs_to_json(ifs: HomogeneousIfs, p=None) -> dict:
@@ -372,6 +375,15 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def strict_int(value) -> int:
+    """An integer or an integral float as int; -1.7, "2" or true raise ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def ifs_from_json(doc) -> tuple[HomogeneousIfs, np.ndarray]:
     """Build (ifs, weights) from a parsed JSON document or a JSON string.
 
@@ -391,7 +403,7 @@ def ifs_from_json(doc) -> tuple[HomogeneousIfs, np.ndarray]:
     dim = doc["ambient_dim"]
     ratio = parse_field(float, doc["ratio"], "ratio")
     if dim == 1:
-        sim = Similarity(ratio=ratio, sign=parse_field(int, doc.get("sign", 1), "sign"))
+        sim = Similarity(ratio=ratio, sign=parse_field(strict_int, doc.get("sign", 1), "sign"))
     elif dim == 2:
         sim = Similarity(ratio=ratio, alpha=parse_field(float, doc.get("alpha", 0.0), "alpha"))
     else:

@@ -22,7 +22,7 @@ from .fourier import ft_eval
 from .histogram import (_EPS_BASE, DyadicHistogram, _aggregate, _bin_cells,
                         _box_range, bin_weighted_intervals, histogram)
 from .ifs import (HomogeneousIfs, Similarity, check_weights, cylinder_words,
-                  ifs_from_json, parse_field)
+                  ifs_from_json, parse_field, strict_int)
 
 _MERGE_TOL = 1e-12
 _PAIR_BUDGET = 50_000_000
@@ -457,7 +457,7 @@ def resolve_spec(doc: dict, base_dir: str = "."):
             base, m2, parse_field(float, derive.get("u", 1.0), "derive.u"))
     if kind == "skip_keep":
         return skip_keep_measure(
-            base, parse_field(int, derive.get("k", 0), "derive.k"),
+            base, parse_field(strict_int, derive.get("k", 0), "derive.k"),
             derive.get("part", "skip"))
     raise SpecError(f"unknown derive kind {kind!r}")
 

@@ -200,7 +200,9 @@ MALFORMED = [(C13, "ratio", "x"), (C13, "ratio", None), (C13, "sign", "x"),
              (FOUR, "translations", [[0.0, 0.0], [1.0]]),
              (C13, "weights", ["a", "b"]),
              (FOUR, "derive", {"kind": "projection", "beta": "x"}),
-             (C13, "derive", {"kind": "skip_keep", "k": "x"})]
+             (C13, "derive", {"kind": "skip_keep", "k": "x"}),
+             (C13, "sign", -1.7),
+             (C13, "derive", {"kind": "skip_keep", "k": 2.9})]
 
 
 def test_exit_codes(specs, tmp_path, capsys):

@@ -6,11 +6,14 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
-                     SpecError, dyadic_depth, entropy_sum, histogram,
-                     moment_sums, uniform_weights)
-from selfsim.histogram import _EPS_BASE, _box_range
+                     SpecError, cylinder_words, dyadic_depth, entropy_sum,
+                     histogram, moment_sums, uniform_weights)
+from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _box_range,
+                               _merge_close_points, bin_weighted_intervals)
 
 
 def test_lebesgue_exact(lebesgue_unit):
@@ -163,6 +166,100 @@ def test_histogram_2d_matches_per_word_reference(name, four_corner):
                 assert abs(up - ref_up) <= 1e-15 + 1e-14 * ref_up
                 assert abs(lo - ref_lo) <= 1e-15 + 1e-14 * ref_lo
     assert multi_total > 0, "no enclosure touched several cells on both axes"
+
+
+def _direct_histogram(ifs, p, n, extra_depth):
+    """Oracle for adaptive refinement: every word grows to depth h.
+
+    Same merging per level, depth, enclosure radius, eps and box as
+    histogram(), but no word settles early: all rows are binned at depth h.
+    Returns (indices, lower, upper).
+    """
+    h = dyadic_depth(ifs, n, extra_depth)
+    z = np.atleast_1d(ifs.attractor_center).astype(float)
+    r0 = ifs.attractor_radius
+    eps = _EPS_BASE * max(1.0, float(np.max(np.abs(z)) + r0))
+    quantum = 2.0 ** -(n + _MERGE_GUARD_BITS)
+    centers, weights = cylinder_words(
+        ifs, p, h, level_hook=lambda depth, c, w: _merge_close_points(c, w, quantum))
+    centers = centers + ifs.apply_power(h, z)
+    rho = ifs.map.ratio ** h * r0
+    k0, k1 = zip(*(_box_range(c - r0, c + r0, n, eps) for c in z))
+    return bin_weighted_intervals(centers - rho, centers + rho, weights, weights,
+                                  n, k0, k1, eps)
+
+
+def _assert_matches_direct(ifs, p, n, extra_depth):
+    idx, lower, upper = _direct_histogram(ifs, p, n, extra_depth)
+    hist = histogram(ifs, p, n, extra_depth=extra_depth)
+    assert np.array_equal(hist.indices, idx)
+    for got, want in ((hist.lower, lower), (hist.upper, upper)):
+        assert np.all(np.abs(got - want) <= 1e-15 + 1e-13 * want)
+
+
+def _weights(m):
+    return st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m).map(
+        lambda raw: np.asarray(raw) / sum(raw))
+
+
+@st.composite
+def _refinement_systems(draw):
+    """1D systems of both signs, 2D rotating ones and the golden Bernoulli
+    system, whose overlaps make histogram() merge words."""
+    kind = draw(st.sampled_from(["1d", "2d", "golden"]))
+    if kind == "golden":
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        ifs = HomogeneousIfs(1, Similarity(ratio=golden, sign=1), np.array([-1.0, 1.0]))
+        return ifs, uniform_weights(2)
+    m = draw(st.integers(2, 3))
+    ratio = draw(st.floats(0.15, 0.45 if m == 2 else 0.3))
+    if kind == "1d":
+        sim = Similarity(ratio=ratio, sign=draw(st.sampled_from([-1, 1])))
+        shape = (m,)
+    else:
+        sim = Similarity(ratio=ratio, alpha=draw(st.floats(0.01, 0.99)))
+        shape = (m, 2)
+    a = draw(st.lists(st.floats(-1.0, 1.0), min_size=math.prod(shape),
+                      max_size=math.prod(shape), unique=True))
+    return HomogeneousIfs(len(shape), sim, np.reshape(a, shape)), draw(_weights(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_refinement_systems(), n=st.integers(4, 12),
+       extra_depth=st.integers(0, 6))
+def test_adaptive_refinement_matches_direct(system, n, extra_depth):
+    """Settling words early leaves every cell index and, up to summation
+    order, every mass of the depth-h enumeration unchanged."""
+    ifs, p = system
+    if ifs.ratio < 0.5:
+        assume(ifs.m ** dyadic_depth(ifs, n, extra_depth) <= 2 ** 17)
+    _assert_matches_direct(ifs, p, n, extra_depth)
+
+
+@pytest.mark.parametrize("sign,translations,p,n,extra_depth", [
+    (1, [0.0, 0.375, 0.75], [0.5, 0.3, 0.2], 6, 0),
+    (1, [0.0, 0.375, 0.75], [0.5, 0.3, 0.2], 10, 4),
+    (1, [0.0, 0.375, 0.75], [0.5, 0.3, 0.2], 14, 6),
+    (-1, [1.0, 0.5], [0.5, 0.5], 4, 3)])
+def test_adaptive_refinement_fixed_cases(sign, translations, p, n, extra_depth):
+    """Ratio 1/4 with dyadic translations: in the 3-map system, enclosure
+    ends land exactly on cell edges and never settle; in the 2-map one,
+    every word settles before depth h and the deeper levels are empty."""
+    ifs = HomogeneousIfs(1, Similarity(ratio=0.25, sign=sign), np.array(translations))
+    _assert_matches_direct(ifs, np.array(p), n, extra_depth)
+
+
+def test_budget_bounds_live_words():
+    """Only words meeting a cell boundary keep growing, so the budget holds
+    at n = 19 although depth 15 has 3^15 words."""
+    ifs = HomogeneousIfs(1, Similarity(ratio=0.25, sign=1), np.array([0.0, 0.375, 0.75]))
+    p = np.array([0.5, 0.3, 0.2])
+    assert ifs.m ** dyadic_depth(ifs, 19, 6) > 2 ** 18
+    small = histogram(ifs, p, 19, extra_depth=6, word_budget=2 ** 18)
+    full = histogram(ifs, p, 19, extra_depth=6)
+    assert np.array_equal(small.indices, full.indices)
+    assert np.array_equal(small.lower, full.lower)
+    assert np.array_equal(small.upper, full.upper)
 
 
 def test_budget_error(cantor13):

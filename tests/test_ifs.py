@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from selfsim import (BudgetError, HomogeneousIfs, InvalidWordError, Similarity,
                      coding_map_partial, cylinder_ball, cylinder_words,
                      entropy, ifs_from_json, ifs_to_json,
                      similarity_dimension, uniform_weights, unrank_word)
+from selfsim import ifs as ifs_module
+from selfsim.histogram import _merge_close_points
 
 
 def test_similarity_validation():
@@ -186,7 +189,14 @@ def test_cylinder_words_merge(golden_bc):
     length, quantum = 14, 2.0 ** -30
     full_c, full_w = cylinder_words(ifs, p, length)
     assert full_c.size == 2 ** length > 4096
-    merged_c, merged_w = cylinder_words(ifs, p, length, merge_quantum=quantum)
+    depths = []
+
+    def merge(depth, centers, weights):
+        depths.append(depth)
+        return _merge_close_points(centers, weights, quantum)
+
+    merged_c, merged_w = cylinder_words(ifs, p, length, level_hook=merge)
+    assert depths == list(range(1, length + 1))
     assert merged_c.size < 2 ** length
     assert abs(merged_w.sum() - full_w.sum()) <= 1e-12
     assert abs(merged_w.sum() - 1.0) <= 1e-12
@@ -210,9 +220,12 @@ def _brute_force_overlap(ifs, depth):
     return pairs, balls
 
 
+@pytest.mark.parametrize("chunk", [1 << 18, 5])
 @pytest.mark.parametrize("name,depth", [("golden", 8), ("rotating_overlap", 5),
                                         ("rotating_four_corner", 3)])
-def test_separation_matches_brute_force(name, depth, golden_bc, four_corner):
+def test_separation_matches_brute_force(name, depth, chunk, golden_bc, four_corner,
+                                        monkeypatch):
+    monkeypatch.setattr(ifs_module, "_PAIR_CHUNK", chunk)
     if name == "golden":
         ifs = golden_bc[0]
     elif name == "rotating_overlap":
@@ -226,12 +239,32 @@ def test_separation_matches_brute_force(name, depth, golden_bc, four_corner):
     assert cert.depth == depth
     assert cert.separated == (not pairs)
     if not cert.separated:
+        # the witness is the first pair by first symbols, then by words
+        assert cert.overlap == min(pairs, key=lambda pr: (pr[0][0], pr[1][0], pr))
         w1, w2 = cert.overlap
         assert len(w1) == len(w2) == depth
         assert w1[0] != w2[0]
         (c1, _), (c2, _) = balls[w1], balls[w2]
         rho = ifs.map.ratio ** depth * ifs.attractor_radius
         assert np.linalg.norm(np.atleast_1d(c1 - c2)) <= 2 * rho + 1e-12
+
+
+@pytest.mark.parametrize("name,depth", [("cantor", 16), ("golden", 18)])
+def test_separation_memory(name, depth, cantor13, golden_bc):
+    """Only nearby words are compared, a bounded number of pairs at a time.
+
+    Far below the 1 GiB of a 4096-row difference matrix against 2^15 words,
+    both when no pair is close (Cantor) and when many are (golden, whose
+    candidate pairs alone would take about 130 MB unchunked)."""
+    ifs = cantor13[0] if name == "cantor" else golden_bc[0]
+    tracemalloc.start()
+    try:
+        separated = check_strong_separation(ifs, depth).separated
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert separated == (name == "cantor")
+    assert peak < 64 * 2 ** 20
 
 
 def test_separation_cantor(cantor13):
@@ -275,6 +308,16 @@ def test_json_roundtrip_2d(four_corner):
     assert back.ambient_dim == 2
     assert back.map.alpha == 0.0
     assert np.allclose(back.translations, ifs.translations)
+
+
+def test_json_integral_fields():
+    """Integral floats are integers; other numbers are refused, not truncated."""
+    doc = {"ambient_dim": 1, "ratio": 0.5, "sign": -1.0, "translations": [0.0, 0.5]}
+    assert ifs_from_json(doc)[0].map.sign == -1
+    for bad in (-1.7, "-1", True):
+        with pytest.raises(SpecError) as err:
+            ifs_from_json(dict(doc, sign=bad))
+        assert "sign" in str(err.value)
 
 
 def test_json_missing_field():
