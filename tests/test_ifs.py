@@ -220,12 +220,10 @@ def _brute_force_overlap(ifs, depth):
     return pairs, balls
 
 
-@pytest.mark.parametrize("chunk", [1 << 18, 5])
 @pytest.mark.parametrize("name,depth", [("golden", 8), ("rotating_overlap", 5),
                                         ("rotating_four_corner", 3)])
-def test_separation_matches_brute_force(name, depth, chunk, golden_bc, four_corner,
+def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
                                         monkeypatch):
-    monkeypatch.setattr(ifs_module, "_PAIR_CHUNK", chunk)
     if name == "golden":
         ifs = golden_bc[0]
     elif name == "rotating_overlap":
@@ -235,6 +233,9 @@ def test_separation_matches_brute_force(name, depth, chunk, golden_bc, four_corn
         ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.25),
                              four_corner[0].translations)
     cert = check_strong_separation(ifs, depth)
+    # comparing a few word pairs at a time gives the same certificate
+    monkeypatch.setattr(ifs_module, "_PAIR_CHUNK", 5)
+    assert check_strong_separation(ifs, depth) == cert
     pairs, balls = _brute_force_overlap(ifs, depth)
     assert cert.depth == depth
     assert cert.separated == (not pairs)
