@@ -254,9 +254,10 @@ def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
 def test_separation_memory(name, depth, cantor13, golden_bc):
     """Only nearby words are compared, a bounded number of pairs at a time.
 
-    Far below the 1 GiB of a 4096-row difference matrix against 2^15 words,
-    both when no pair is close (Cantor) and when many are (golden, whose
-    candidate pairs alone would take about 130 MB unchunked)."""
+    A 4096-row difference matrix against the other group took about 1 GiB
+    at Cantor depth 16. The bound holds both when no pair is close (Cantor)
+    and when many are (golden, whose candidate pairs alone would take about
+    130 MB unchunked)."""
     ifs = cantor13[0] if name == "cantor" else golden_bc[0]
     tracemalloc.start()
     try:
