@@ -6,6 +6,18 @@ an integer. The maximal fraction over a t-grid (the badness) is a lower
 bound for the true supremum over t, since the grid can only miss maxima.
 Pisot-type ratios drive the badness toward 1 while generic ratios stay
 low, which is the phenomenon the scanners quantify.
+
+The sequence counters (ek_count_sequences) search level by level over
+whole arrays. A level is a frontier of states, each a packed int64 key
+(the last term, or the last two terms for translations) with the minimal
+bad count per trailing flag as int8. Every state expands to its candidate
+range at once, the same float comparisons as a one-at-a-time search
+decide which candidates are admissible, and equal keys merge by sort and
+minimum. States of lengths below N are nodes: once their running total
+exceeds _NODE_BUDGET the search raises BudgetError, saying how many nodes
+it needed by which length. Terms must stay where float64 computes the
+centres exactly, |K| < 2^26 where K^2 appears (translations) and
+|theta1 K| < 2^52 otherwise; beyond that the counters raise PrecisionError.
 """
 
 from __future__ import annotations
@@ -22,6 +34,15 @@ from .errors import BudgetError, PrecisionError, SpecError
 _KINDS = ("translations", "projections", "convolutions")
 _COUNT_N_CAP = 22
 _NODE_BUDGET = 5_000_000
+# t-grid entries (grid points x indices) ek_badness tests at once.
+_GRID_CHUNK = 1 << 15
+# Candidate sequences the counters form at once.
+_CANDIDATE_CHUNK = 1 << 21
+# Translation states pack (K_n, K_{n+1}) into one int64, each term biased
+# by 2^26 into 27 bits; |K| < 2^26 also keeps K^2 exact in float64.
+_EXACT_SQUARE = 1 << 26
+_PAIR_SHIFT = 27
+_PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 
 
 def centered_frac(x):
@@ -125,6 +146,17 @@ def _conv_k_of_n(theta1: float, theta2: float, ns: np.ndarray) -> np.ndarray:
     return raw
 
 
+def _good(t: np.ndarray, cols: list, c: float) -> np.ndarray:
+    """Mask of indices with |centered_frac(t_i col_j)| <= c in every column."""
+    good = None
+    for col in cols:
+        x = np.multiply.outer(t, col)
+        x -= np.rint(x)
+        np.abs(x, out=x)
+        good = x <= c if good is None else good & (x <= c)
+    return good
+
+
 def ek_badness(spec: EkSpec) -> EkReport:
     """Maximal good-index fraction over a uniform t-grid in [1, t_upper].
 
@@ -154,20 +186,25 @@ def ek_badness(spec: EkSpec) -> EkReport:
         raise PrecisionError(
             f"powers reach {peak:.3g}, beyond exact integer-distance range")
 
-    x1 = t[:, None] * cols[0][None, :]
-    good = np.abs(centered_frac(x1)) <= spec.c
-    if cols[1] is not None:
-        x2 = t[:, None] * cols[1][None, :]
-        good &= np.abs(centered_frac(x2)) <= spec.c
-
-    counts = good.sum(axis=1)
+    # With |u| = 1 the second translations column is +-x1 exactly, and
+    # round-half-even is symmetric, so it cannot change the mask.
+    masked = [cols[0]]
+    if cols[1] is not None and not (spec.kind == "translations"
+                                    and abs(spec.u) == 1.0):
+        masked.append(cols[1])
+    # Grid rows in chunks of about _GRID_CHUNK entries, which stay in cache.
+    step = max(1, _GRID_CHUNK // spec.N)
+    counts = np.concatenate([
+        np.count_nonzero(_good(t[i:i + step], masked, spec.c), axis=1)
+        for i in range(0, t.size, step)])
     gi = int(np.argmax(counts))
     witness = float(t[gi])
     eps = centered_frac(witness * cols[0])
     delta = (centered_frac(witness * cols[1]) if cols[1] is not None
              else np.zeros(spec.N))
     return EkReport(spec=spec, badness=counts[gi] / spec.N, witness_t=witness,
-                    eps=eps, delta=delta, good=good[gi])
+                    eps=eps, delta=delta,
+                    good=_good(t[gi:gi + 1], masked, spec.c)[0])
 
 
 @dataclass(frozen=True)
@@ -197,59 +234,153 @@ def _first_terms(theta: float, w: tuple, inf: int) -> dict:
     return first
 
 
+def _relax(prev: np.ndarray, gap: np.ndarray, moves: list, slots: int,
+           inf: int, max_bad: int) -> np.ndarray:
+    """Minimal bad count per destination slot over the admissible moves.
+
+    prev holds the parents' counts, one row per slot and one column per
+    candidate. moves lists (source slot, destination slot, flag of the new
+    index, slack); a move is admissible where its source count is finite
+    and gap <= slack. Counts above max_bad become inf.
+    """
+    out = np.full((slots, gap.size), inf, dtype=np.int8)
+    for src, dst, flag, slack in moves:
+        cand = np.where((prev[src] < inf) & (gap <= slack), prev[src] + flag, inf)
+        np.minimum(out[dst], cand, out=out[dst])
+    out[out > max_bad] = inf
+    return out
+
+
+def _merge(keys: np.ndarray, bad: np.ndarray):
+    """One state per key with the slot-wise minimal counts, keys sorted."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.minimum.reduceat(bad[:, order], starts, axis=1)
+
+
+def _charge(nodes: int, states: int, n: int) -> None:
+    """Raise once the nodes so far and these states of length n exceed the budget."""
+    if nodes + states > _NODE_BUDGET:
+        raise BudgetError(
+            f"sequence enumeration needs at least {nodes + states} nodes by "
+            f"length {n}, over the budget {_NODE_BUDGET}")
+
+
+def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
+              slots: int, inf: int, max_bad: int, keys_of, nodes, n: int):
+    """The merged states of length n grown from every parent state.
+
+    A parent's candidates are the integers within half + 1e-12 of its
+    centre, at float distance gap from it; moves, slots and max_bad go to
+    _relax, and keys_of(rows, values) turns the admissible candidates
+    (parent rows, new last terms) into int64 keys. Parents are expanded in
+    slices of about _CANDIDATE_CHUNK candidates, and pending children are
+    merged once they outnumber the merged ones. Below the last length the
+    children are nodes still to be expanded: every merge charges them on
+    top of nodes (None at the last length), so a level never grows far
+    beyond the budget before it raises.
+    """
+    lo = np.ceil(centre - half - 1e-12).astype(np.int64)
+    hi = np.floor(centre + half + 1e-12).astype(np.int64)
+    sizes = hi - lo + 1
+    ends = np.cumsum(sizes)
+    offset = lo - (ends - sizes)  # candidate value minus its position
+    keys, merged = np.empty(0, dtype=np.int64), np.empty((slots, 0), dtype=np.int8)
+    pending_keys, pending_bad, pending = [], [], 0
+    start = 0
+    while start < lo.size:
+        first = int(ends[start] - sizes[start])
+        stop = max(start + 1, int(np.searchsorted(
+            ends, first + _CANDIDATE_CHUNK, side="right")))
+        rows = np.repeat(np.arange(start, stop), sizes[start:stop])
+        values = (np.arange(first, int(ends[stop - 1]))
+                  + np.repeat(offset[start:stop], sizes[start:stop]))
+        child = _relax(bad[:, rows], np.abs(values - centre[rows]), moves,
+                       slots, inf, max_bad)
+        live = child.min(axis=0) < inf
+        pending_keys.append(keys_of(rows[live], values[live]))
+        pending_bad.append(child[:, live])
+        pending += pending_keys[-1].size
+        start = stop
+        if pending >= max(keys.size, _CANDIDATE_CHUNK) or start == lo.size:
+            keys, merged = _merge(np.concatenate([keys] + pending_keys),
+                                  np.concatenate([merged] + pending_bad, axis=1))
+            pending_keys, pending_bad, pending = [], [], 0
+            if nodes is not None:
+                _charge(nodes, keys.size, n)
+    return keys, merged
+
+
+def _count(bad: np.ndarray, delta: float, n: int) -> int:
+    """States whose best flag assignment has at most floor(delta n) bad indices."""
+    return int(np.count_nonzero(bad.min(axis=0) <= math.floor(delta * n + 1e-9)))
+
+
+def _first_frontier(theta: float, w: tuple, inf: int):
+    """_first_terms as arrays: terms, and counts with one row per flag."""
+    first = _first_terms(theta, w, inf)
+    terms = np.fromiter(first, dtype=np.int64, count=len(first))
+    bad = np.array(list(first.values()), dtype=np.int8).reshape(-1, 2).T
+    return terms, bad
+
+
+def _exact_centres(theta: float, terms: np.ndarray) -> np.ndarray:
+    """terms, after checking that every theta K stays below 2^52."""
+    if terms.size and theta * float(np.abs(terms).max()) >= 2.0 ** 52:
+        raise PrecisionError(
+            f"centres theta K reach {theta * float(np.abs(terms).max()):.3g}, "
+            "beyond exact integer-distance range")
+    return terms
+
+
+def _exact_squares(terms: np.ndarray) -> np.ndarray:
+    """terms, after checking that every K^2 stays exact in float64."""
+    if terms.size and int(np.abs(terms).max()) >= _EXACT_SQUARE:
+        raise PrecisionError(
+            f"sequence terms reach {int(np.abs(terms).max())}, beyond the "
+            "exact range 2^26 of K^2 / K' centres")
+    return terms
+
+
+def _pack_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Keys of the pairs (first, second); the new terms second are checked."""
+    return ((first + _EXACT_SQUARE) << _PAIR_SHIFT) | (
+        _exact_squares(second) + _EXACT_SQUARE)
+
+
 def _count_convolutions(theta1: float, N: int, c: float, delta: float) -> list:
     """Count distinct (K_1..K_n) with |K_{j+1} - theta1 K_j| within slack.
 
     The slack for a step is theta1 w(g_j) + w(g_{j+1}) with w = c at good
     indices and 1/2 at bad ones; a tuple is admissible at length n when
     some flag assignment keeps the bad count at or below floor(delta n).
-    Node state tracks the minimal bad count per current flag, so the
-    search visits each distinct prefix once.
+    A state is the last term K_n (one int64 key) with the minimal bad count
+    per flag of index n (int8, row g). Each level expands all states at
+    once and merges equal keys, so each distinct state is one node; the
+    states of lengths 1..N-1 are charged to the node budget.
     """
     w = (c, 0.5)
     inf = N + 1
-    max_bad_final = math.floor(delta * N + 1e-9)
+    max_bad = math.floor(delta * N + 1e-9)
+    moves = [(g, g2, g2, theta1 * w[g] + w[g2] + 1e-12)
+             for g2 in (0, 1) for g in (0, 1)]
     counts = [0] * (N + 1)
-    nodes = 0
-    frontier = _first_terms(theta1, w, inf)
+    terms, bad = _first_frontier(theta1, w, inf)
+    _exact_centres(theta1, terms)
+    _charge(0, terms.size, 1)
+    nodes = terms.size
     for n in range(1, N + 1):
-        max_bad_n = math.floor(delta * n + 1e-9)
-        counts[n] = sum(1 for b in frontier.values()
-                        if min(b) <= max_bad_n)
+        counts[n] = _count(bad, delta, n)
         if n == N:
             break
-        nxt: dict = {}
-        for k, b in frontier.items():
-            nodes += 1
-            if nodes > _NODE_BUDGET:
-                raise BudgetError("sequence enumeration exceeded the node budget")
-            center = theta1 * k
-            lo = math.ceil(center - (theta1 * 0.5 + 0.5) - 1e-12)
-            hi = math.floor(center + (theta1 * 0.5 + 0.5) + 1e-12)
-            for k2 in range(lo, hi + 1):
-                gap = abs(k2 - center)
-                nb = None
-                for g2 in (0, 1):
-                    best = inf
-                    for g in (0, 1):
-                        if b[g] >= inf:
-                            continue
-                        if gap <= theta1 * w[g] + w[g2] + 1e-12:
-                            cand = b[g] + g2
-                            if cand < best:
-                                best = cand
-                    if best <= max_bad_final:
-                        if nb is None:
-                            nb = [inf, inf]
-                        nb[g2] = best
-                if nb is None:
-                    continue
-                prev = nxt.get(k2)
-                if prev is None:
-                    nxt[k2] = nb
-                else:
-                    nxt[k2] = [min(prev[0], nb[0]), min(prev[1], nb[1])]
-        frontier = nxt
+        terms, bad = _children(
+            theta1 * terms, theta1 * 0.5 + 0.5, bad, moves, 2, inf, max_bad,
+            lambda rows, values: _exact_centres(theta1, values),
+            nodes if n + 1 < N else None, n + 1)
+        nodes += terms.size
     return counts
 
 
@@ -257,85 +388,43 @@ def _count_translations(theta: float, N: int, c: float, delta: float) -> list:
     """Count distinct (K_1..K_n) under the quadratic three-term recursion.
 
     |K_{n+2} - K_{n+1}^2 / K_n| is bounded by theta^2 w_n + 2 theta w_{n+1}
-    + w_{n+2}; states are (K_n, K_{n+1}) pairs with minimal bad counts per
-    trailing flag pair.
+    + w_{n+2}. A state is the pair (K_n, K_{n+1}), each term biased by 2^26
+    and packed into one int64 key, with the minimal bad count per trailing
+    flag pair (g_n, g_{n+1}) in row 2 g_n + g_{n+1}. The states of lengths
+    2..N-1 are charged to the node budget.
     """
     w = (c, 0.5)
     inf = N + 1
-    max_bad_final = math.floor(delta * N + 1e-9)
+    max_bad = math.floor(delta * N + 1e-9)
     counts = [0] * (N + 1)
-    nodes = 0
 
-    first = _first_terms(theta, w, inf)
-    counts[1] = sum(1 for b in first.values() if min(b) <= math.floor(delta + 1e-9))
-    if N == 1:
-        return counts
+    k1, bad = _first_frontier(theta, w, inf)
+    _exact_squares(k1)
+    counts[1] = _count(bad, delta, 1)
+    moves = [(g1, g1 * 2 + g2, g2, theta * w[g1] + w[g2] + 1e-12)
+             for g2 in (0, 1) for g1 in (0, 1)]
+    keys, bad = _children(
+        theta * k1, theta * 0.5 + 0.5, bad, moves, 4, inf, max_bad,
+        lambda rows, values: _pack_pairs(k1[rows], values), 0, 2)
+    nodes = keys.size
+    counts[2] = _count(bad, delta, 2)
 
-    frontier: dict = {}
-    for k1, b1 in first.items():
-        center = theta * k1
-        lo = math.ceil(center - (theta * 0.5 + 0.5) - 1e-12)
-        hi = math.floor(center + (theta * 0.5 + 0.5) + 1e-12)
-        for k2 in range(lo, hi + 1):
-            gap = abs(k2 - center)
-            nb = [inf, inf, inf, inf]
-            hit = False
-            for g2 in (0, 1):
-                for g1 in (0, 1):
-                    if b1[g1] >= inf or gap > theta * w[g1] + w[g2] + 1e-12:
-                        continue
-                    cand = b1[g1] + g2
-                    slot = g1 * 2 + g2
-                    if cand <= max_bad_final and cand < nb[slot]:
-                        nb[slot] = cand
-                        hit = True
-            if not hit:
-                continue
-            key = (k1, k2)
-            prev = frontier.get(key)
-            frontier[key] = nb if prev is None else [min(a, b) for a, b in zip(prev, nb)]
-    counts[2] = sum(1 for b in frontier.values()
-                    if min(b) <= math.floor(2 * delta + 1e-9))
-
+    wmax = theta * theta * 0.5 + 2 * theta * 0.5 + 0.5
+    moves = [(g1 * 2 + g2, g2 * 2 + g3, g3,
+              theta * theta * w[g1] + 2 * theta * w[g2] + w[g3] + 1e-12)
+             for g3 in (0, 1) for g1 in (0, 1) for g2 in (0, 1)]
     for n in range(3, N + 1):
-        max_bad_n = math.floor(delta * n + 1e-9)
-        nxt: dict = {}
-        for (k1, k2), b in frontier.items():
-            nodes += 1
-            if nodes > _NODE_BUDGET:
-                raise BudgetError("sequence enumeration exceeded the node budget")
-            if k1 == 0:
-                continue
-            center = k2 * k2 / k1
-            wmax = theta * theta * 0.5 + 2 * theta * 0.5 + 0.5
-            lo = math.ceil(center - wmax - 1e-12)
-            hi = math.floor(center + wmax + 1e-12)
-            for k3 in range(lo, hi + 1):
-                gap = abs(k3 - center)
-                nb = [inf, inf, inf, inf]
-                hit = False
-                for g3 in (0, 1):
-                    for g1 in (0, 1):
-                        for g2 in (0, 1):
-                            prevb = b[g1 * 2 + g2]
-                            if prevb >= inf:
-                                continue
-                            slack = (theta * theta * w[g1] + 2 * theta * w[g2]
-                                     + w[g3])
-                            if gap > slack + 1e-12:
-                                continue
-                            cand = prevb + g3
-                            slot = g2 * 2 + g3
-                            if cand <= max_bad_final and cand < nb[slot]:
-                                nb[slot] = cand
-                                hit = True
-                if not hit:
-                    continue
-                key = (k2, k3)
-                prev = nxt.get(key)
-                nxt[key] = nb if prev is None else [min(a, b) for a, b in zip(prev, nb)]
-        frontier = nxt
-        counts[n] = sum(1 for b in frontier.values() if min(b) <= max_bad_n)
+        k1 = (keys >> _PAIR_SHIFT) - _EXACT_SQUARE
+        k2 = (keys & _PAIR_MASK) - _EXACT_SQUARE
+        nonzero = k1 != 0
+        k1, k2, bad = k1[nonzero], k2[nonzero], bad[:, nonzero]
+        k2f = k2.astype(float)
+        keys, bad = _children(
+            k2f * k2f / k1, wmax, bad, moves, 4, inf, max_bad,
+            lambda rows, values: _pack_pairs(k2[rows], values),
+            nodes if n < N else None, n)
+        nodes += keys.size
+        counts[n] = _count(bad, delta, n)
     return counts
 
 

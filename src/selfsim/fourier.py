@@ -6,6 +6,10 @@ Truncating after N factors costs at most pi r^N max|a| |xi| / (1 - r)
 because every factor lies in the closed unit disc. That bound is reported
 alongside each evaluated value; it covers the truncation only, not the
 float rounding of the phases, which grows with |xi|.
+
+ft_batch evaluates many frequencies of one system with array operations,
+giving each sample the bits a call for that sample alone gives it;
+ft_eval is its batch of one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .errors import BudgetError, PrecisionError, SpecError
 from .ifs import HomogeneousIfs, check_weights, max_norm
 
 _MAX_FACTORS = 1 << 20
+# Phase entries (samples x factors x maps) evaluated at once by ft_batch.
+_PHASE_CHUNK = 1 << 20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -27,43 +33,79 @@ def ft_eval(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
 
     xi is a scalar for 1D systems and a length-2 vector for 2D systems.
     The reported bound covers the discarded tail of the factor product and
-    never exceeds tol.
+    never exceeds tol. This is ft_batch on a batch of one.
+    """
+    xi_vec = np.asarray(xi, dtype=float).ravel()
+    if xi_vec.size != ifs.ambient_dim:
+        raise SpecError(f"{ifs.ambient_dim}D systems take a frequency of "
+                        f"length {ifs.ambient_dim} per call")
+    values, bounds = ft_batch(ifs, p, xi_vec.reshape(1, -1)
+                              if ifs.ambient_dim == 2 else xi_vec, tol=tol)
+    return complex(values[0]), float(bounds[0])
+
+
+def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
+    """Evaluate mu-hat at many frequencies of one system.
+
+    xi has shape (S,) for 1D systems and (S, 2) for 2D systems. Returns
+    the complex values and the truncation bounds, each of shape (S,).
+    Every sample gets its own factor count and bound, computed by the
+    scalar expressions, so any batch gives each sample the bits a batch of
+    one gives it. Samples sharing a factor count are evaluated together,
+    at most about _PHASE_CHUNK phase entries at a time; a sample that needs
+    more than _MAX_FACTORS factors raises BudgetError before any work.
     """
     p = check_weights(p, ifs.m)
     if tol <= 0.0:
         raise SpecError("tol must be positive")
     if tol < 1e-15:
         raise PrecisionError("tol below 1e-15 is not resolvable in float64")
+    dim = ifs.ambient_dim
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != dim or xi.shape[1:] != (2,) * (dim - 1):
+        raise SpecError(f"{dim}D systems take frequencies of shape "
+                        f"{'(S, 2)' if dim == 2 else '(S,)'}")
+    xi_norm = np.abs(xi) if dim == 1 else np.hypot(xi[:, 0], xi[:, 1])
+
     r = ifs.map.ratio
+    scale = math.pi * max_norm(ifs.translations)
+    values = np.ones(xi.shape[0], dtype=complex)
+    bounds = np.empty(xi.shape[0])
+    groups: dict = {}
+    for i, norm in enumerate(xi_norm.tolist()):
+        base = scale * norm / (1.0 - r)
+        if base <= tol:
+            bounds[i] = base
+            continue
+        n_factors = math.ceil(math.log(tol / base) / math.log(r))
+        if n_factors > _MAX_FACTORS:
+            raise BudgetError(
+                f"{n_factors} product factors needed at ratio {r}, over the cap")
+        bounds[i] = base * r ** n_factors
+        groups.setdefault(n_factors, []).append(i)
+
     a = ifs.translations.astype(float)
-    xi_vec = np.asarray(xi, dtype=float).ravel()
-    if xi_vec.size != ifs.ambient_dim:
-        raise SpecError(f"{ifs.ambient_dim}D systems take a frequency of "
-                        f"length {ifs.ambient_dim} per call")
-    xi_norm = abs(float(xi_vec[0])) if ifs.ambient_dim == 1 else float(np.hypot(*xi_vec))
-
-    base = math.pi * max_norm(ifs.translations) * xi_norm / (1.0 - r)
-    if base <= tol:
-        return complex(1.0), float(base)
-    n_factors = math.ceil(math.log(tol / base) / math.log(r))
-    if n_factors > _MAX_FACTORS:
-        raise BudgetError(
-            f"{n_factors} product factors needed at ratio {r}, over the cap")
-    err = base * r ** n_factors
-
-    ns = np.arange(n_factors)
-    if ifs.ambient_dim == 1:
-        lam_pows = ifs.lam ** ns
-        phases = math.pi * float(xi_vec[0]) * np.outer(lam_pows, a)
-    else:
-        ang = 2.0 * math.pi * ((ifs.map.alpha * ns) % 1.0)
-        r_pows = r ** ns
-        cos_a, sin_a = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        rot_x = r_pows[:, None] * (cos_a * a[None, :, 0] - sin_a * a[None, :, 1])
-        rot_y = r_pows[:, None] * (sin_a * a[None, :, 0] + cos_a * a[None, :, 1])
-        phases = math.pi * (rot_x * xi_vec[0] + rot_y * xi_vec[1])
-    factors = np.exp(1j * phases) @ p
-    return complex(np.prod(factors)), float(err)
+    for n_factors, rows in groups.items():
+        ns = np.arange(n_factors)
+        if dim == 1:
+            lam_pows = ifs.lam ** ns
+            factor_phases = np.outer(lam_pows, a)
+        else:
+            ang = 2.0 * math.pi * ((ifs.map.alpha * ns) % 1.0)
+            r_pows = r ** ns
+            cos_a, sin_a = np.cos(ang)[:, None], np.sin(ang)[:, None]
+            rot_x = r_pows[:, None] * (cos_a * a[None, :, 0] - sin_a * a[None, :, 1])
+            rot_y = r_pows[:, None] * (sin_a * a[None, :, 0] + cos_a * a[None, :, 1])
+        step = max(1, _PHASE_CHUNK // (n_factors * ifs.m))
+        for start in range(0, len(rows), step):
+            idx = np.array(rows[start:start + step])
+            if dim == 1:
+                phases = (math.pi * xi[idx])[:, None, None] * factor_phases
+            else:
+                phases = math.pi * (rot_x * xi[idx, 0, None, None]
+                                    + rot_y * xi[idx, 1, None, None])
+            values[idx] = np.prod(np.exp(1j * phases) @ p, axis=1)
+    return values, bounds
 
 
 @dataclass(frozen=True)
@@ -108,7 +150,8 @@ def decay_fit(measure, xi_max: float, bands: int, samples_per_band: int = 64,
     """Fit a power-decay exponent to band maxima of |mu-hat|.
 
     measure is any object with ft(xi, tol) and a true scalar_frequency,
-    such as the measure classes of selfsim.transforms.
+    such as the measure classes of selfsim.transforms; ft is called once
+    per band with the band's frequencies as an array.
 
     Bands are geometric, [xi0 ratio^k, xi0 ratio^(k+1)) for k < bands, and
     xi_max must reach the last band edge. Within each band one sample sits
@@ -143,12 +186,10 @@ def decay_fit(measure, xi_max: float, bands: int, samples_per_band: int = 64,
     band_max = np.zeros(bands)
     for k in range(bands):
         xs = xi0 * band_ratio ** (k + offsets)
-        vals = np.empty(xs.size)
-        errs = np.empty(xs.size)
-        for i, x in enumerate(xs):
-            v, e = measure.ft(x, tol=tol)
-            vals[i] = abs(v)
-            errs[i] = e
+        values, errs = measure.ft(xs, tol=tol)
+        # Python's abs per sample: numpy's complex abs can differ from it in
+        # the last bit, and the CSV keeps the scalar rounding.
+        vals = np.array([abs(v) for v in values.tolist()])
         band_max[k] = vals.max()
         xi_all.append(xs)
         val_all.append(vals)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, SpecError
-from .fourier import ft_eval
+from .fourier import ft_batch, ft_eval
 from .histogram import (_EPS_BASE, DyadicHistogram, _aggregate, _bin_cells,
                         _box_range, bin_weighted_intervals, histogram)
 from .ifs import (HomogeneousIfs, Similarity, check_weights, cylinder_words,
@@ -321,7 +321,11 @@ class SelfSimilarMeasure:
                          word_budget=word_budget)
 
     def ft(self, xi, tol: float = 1e-9):
-        return ft_eval(self.ifs, self.p, xi, tol=tol)
+        """(value, bound) at one frequency, a scalar in 1D and a 2-vector in
+        2D, or arrays of both at frequencies stacked along the first axis."""
+        if np.ndim(xi) < self.ifs.ambient_dim:
+            return ft_eval(self.ifs, self.p, xi, tol=tol)
+        return ft_batch(self.ifs, self.p, xi, tol=tol)
 
 
 class ProjectedMeasure:
@@ -349,7 +353,7 @@ class ProjectedMeasure:
 
     def ft(self, xi, tol: float = 1e-9):
         direction = np.array([math.cos(self.beta), math.sin(self.beta)])
-        return self.base.ft(float(xi) * direction, tol=tol)
+        return self.base.ft(np.multiply.outer(xi, direction), tol=tol)
 
 
 class ConvolvedMeasure:
@@ -384,14 +388,20 @@ class ConvolvedMeasure:
 
         Each factor gets the bound t = sqrt(1 + tol) - 1 (written without
         cancellation), so the product's bound e1 + e2 + e1 e2 <= 2t + t^2
-        stays within tol.
+        stays within tol. xi is one frequency or an array of them.
         """
         if tol <= 0.0:
             raise SpecError("tol must be positive")
         t = tol / (1.0 + math.sqrt(1.0 + tol))
         v1, e1 = self.m1.ft(xi, tol=t)
-        v2, e2 = self.m2.ft(self.u * xi, tol=t)
-        return v1 * v2, e1 + e2 + e1 * e2
+        v2, e2 = self.m2.ft(self.u * np.asarray(xi, dtype=float), tol=t)
+        bound = e1 + e2 + e1 * e2
+        if np.ndim(xi) == 0:
+            return v1 * v2, bound
+        # Python complex products: numpy's vectorised complex multiply can
+        # round differently in the last bit.
+        return np.array([a * b for a, b in zip(v1.tolist(), v2.tolist())],
+                        dtype=complex), bound
 
 
 def _require_plain(m) -> None:

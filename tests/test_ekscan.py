@@ -2,15 +2,177 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfsim import (BudgetError, EkSpec, SpecError, centered_frac,
-                     ek_badness, ek_count_sequences, ek_sweep)
-from selfsim.ekscan import _clamp_jobs
+from selfsim import (BudgetError, EkSpec, PrecisionError, SpecError,
+                     centered_frac, ek_badness, ek_count_sequences, ek_sweep)
+from selfsim import ekscan
+from selfsim.cli import main
+from selfsim.ekscan import _clamp_jobs, _first_terms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The benchmark's exact counts (perfbench/workloads.py).
+EKCOUNT_TRANSLATIONS = (1, 1, 2, 23, 46, 87, 173, 2169, 4145, 7739, 14313,
+                        235746)
+EKCOUNT_CONVOLUTIONS = (3, 3, 3, 19, 25, 31, 37, 205, 279, 365, 463, 2399,
+                        3325, 4471, 5861, 29125, 40847, 55885, 74823, 361159)
+
+
+# Reference counters: one dict entry per distinct state, expanded one node
+# and one candidate at a time. The package's array frontier must agree with
+# them exactly, budget errors included. totals, if given, collects (length,
+# running node total) after each length's nodes are expanded.
+
+def _oracle_convolutions(theta1: float, N: int, c: float, delta: float,
+                         totals: list | None = None) -> list:
+    w = (c, 0.5)
+    inf = N + 1
+    max_bad_final = math.floor(delta * N + 1e-9)
+    counts = [0] * (N + 1)
+    nodes = 0
+    frontier = _first_terms(theta1, w, inf)
+    for n in range(1, N + 1):
+        max_bad_n = math.floor(delta * n + 1e-9)
+        counts[n] = sum(1 for b in frontier.values()
+                        if min(b) <= max_bad_n)
+        if n == N:
+            break
+        nxt: dict = {}
+        for k, b in frontier.items():
+            nodes += 1
+            if nodes > ekscan._NODE_BUDGET:
+                raise BudgetError("sequence enumeration exceeded the node budget")
+            center = theta1 * k
+            lo = math.ceil(center - (theta1 * 0.5 + 0.5) - 1e-12)
+            hi = math.floor(center + (theta1 * 0.5 + 0.5) + 1e-12)
+            for k2 in range(lo, hi + 1):
+                gap = abs(k2 - center)
+                nb = None
+                for g2 in (0, 1):
+                    best = inf
+                    for g in (0, 1):
+                        if b[g] >= inf:
+                            continue
+                        if gap <= theta1 * w[g] + w[g2] + 1e-12:
+                            cand = b[g] + g2
+                            if cand < best:
+                                best = cand
+                    if best <= max_bad_final:
+                        if nb is None:
+                            nb = [inf, inf]
+                        nb[g2] = best
+                if nb is None:
+                    continue
+                prev = nxt.get(k2)
+                if prev is None:
+                    nxt[k2] = nb
+                else:
+                    nxt[k2] = [min(prev[0], nb[0]), min(prev[1], nb[1])]
+        frontier = nxt
+        if totals is not None:
+            totals.append((n, nodes))
+    return counts[1:]
+
+
+def _oracle_translations(theta: float, N: int, c: float, delta: float,
+                         totals: list | None = None) -> list:
+    w = (c, 0.5)
+    inf = N + 1
+    max_bad_final = math.floor(delta * N + 1e-9)
+    counts = [0] * (N + 1)
+    nodes = 0
+
+    first = _first_terms(theta, w, inf)
+    counts[1] = sum(1 for b in first.values() if min(b) <= math.floor(delta + 1e-9))
+    frontier: dict = {}
+    for k1, b1 in first.items():
+        center = theta * k1
+        lo = math.ceil(center - (theta * 0.5 + 0.5) - 1e-12)
+        hi = math.floor(center + (theta * 0.5 + 0.5) + 1e-12)
+        for k2 in range(lo, hi + 1):
+            gap = abs(k2 - center)
+            nb = [inf, inf, inf, inf]
+            hit = False
+            for g2 in (0, 1):
+                for g1 in (0, 1):
+                    if b1[g1] >= inf or gap > theta * w[g1] + w[g2] + 1e-12:
+                        continue
+                    cand = b1[g1] + g2
+                    slot = g1 * 2 + g2
+                    if cand <= max_bad_final and cand < nb[slot]:
+                        nb[slot] = cand
+                        hit = True
+            if not hit:
+                continue
+            key = (k1, k2)
+            prev = frontier.get(key)
+            frontier[key] = nb if prev is None else [min(a, b) for a, b in zip(prev, nb)]
+    counts[2] = sum(1 for b in frontier.values()
+                    if min(b) <= math.floor(2 * delta + 1e-9))
+
+    for n in range(3, N + 1):
+        max_bad_n = math.floor(delta * n + 1e-9)
+        nxt: dict = {}
+        for (k1, k2), b in frontier.items():
+            nodes += 1
+            if nodes > ekscan._NODE_BUDGET:
+                raise BudgetError("sequence enumeration exceeded the node budget")
+            if k1 == 0:
+                continue
+            center = k2 * k2 / k1
+            wmax = theta * theta * 0.5 + 2 * theta * 0.5 + 0.5
+            lo = math.ceil(center - wmax - 1e-12)
+            hi = math.floor(center + wmax + 1e-12)
+            for k3 in range(lo, hi + 1):
+                gap = abs(k3 - center)
+                nb = [inf, inf, inf, inf]
+                hit = False
+                for g3 in (0, 1):
+                    for g1 in (0, 1):
+                        for g2 in (0, 1):
+                            prevb = b[g1 * 2 + g2]
+                            if prevb >= inf:
+                                continue
+                            slack = (theta * theta * w[g1] + 2 * theta * w[g2]
+                                     + w[g3])
+                            if gap > slack + 1e-12:
+                                continue
+                            cand = prevb + g3
+                            slot = g2 * 2 + g3
+                            if cand <= max_bad_final and cand < nb[slot]:
+                                nb[slot] = cand
+                                hit = True
+                if not hit:
+                    continue
+                key = (k2, k3)
+                prev = nxt.get(key)
+                nxt[key] = nb if prev is None else [min(a, b) for a, b in zip(prev, nb)]
+        frontier = nxt
+        counts[n] = sum(1 for b in frontier.values() if min(b) <= max_bad_n)
+        if totals is not None:
+            totals.append((n - 1, nodes))
+    return counts[1:]
+
+
+_ORACLES = {"translations": _oracle_translations,
+            "convolutions": _oracle_convolutions}
+
+
+def _outcome(kind: str, theta: float, N: int, c: float, delta: float,
+             oracle: bool):
+    """Counts, or the BudgetError message, of the counter or its oracle."""
+    try:
+        if oracle:
+            return tuple(_ORACLES[kind](theta, N, c, delta))
+        key = "theta" if kind == "translations" else "theta1"
+        return ek_count_sequences(kind, N, c, delta, **{key: theta}).counts
+    except BudgetError as exc:
+        return BudgetError, str(exc)
 
 
 def test_centered_frac():
@@ -68,6 +230,46 @@ def test_grid_refinement_monotone():
     assert ek_badness(spec_a).badness <= ek_badness(spec_b).badness + 1e-15
 
 
+def _reference_badness(spec):
+    """The full t-grid in one array, both columns always tested."""
+    ns = np.arange(1, spec.N + 1)
+    t = np.linspace(1.0, spec.t_upper, spec.t_grid)
+    if spec.kind == "translations":
+        pows = (1.0 / spec.lam) ** ns.astype(float)
+        cols = (pows, spec.u * pows)
+    elif spec.kind == "projections":
+        cols = (spec.theta ** ns.astype(float)
+                * np.cos(spec.beta + ns * spec.alpha), None)
+    else:
+        ks = ekscan._conv_k_of_n(spec.theta1, spec.theta2, ns)
+        cols = (spec.theta1 ** ns.astype(float),
+                spec.u * spec.theta2 ** ks.astype(float))
+    good = np.abs(centered_frac(t[:, None] * cols[0][None, :])) <= spec.c
+    if cols[1] is not None:
+        good &= np.abs(centered_frac(t[:, None] * cols[1][None, :])) <= spec.c
+    gi = int(np.argmax(good.sum(axis=1)))
+    return good[gi].mean(), float(t[gi]), good[gi]
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 7])
+def test_badness_matches_full_grid(monkeypatch, chunk):
+    """Chunked rows, in-place distances and the skipped second column for
+    |u| = 1 leave badness, witness and mask as the full grid gives them."""
+    monkeypatch.setattr(ekscan, "_GRID_CHUNK", chunk)
+    specs = [EkSpec(kind="translations", N=30, c=0.1, lam=lam, u=u,
+                    t_grid=1500)
+             for lam in (GOLDEN, 0.7, 0.61) for u in (1.0, -1.0, 0.7)]
+    specs += [EkSpec(kind="projections", N=20, c=0.05, theta=1.7, alpha=1.0,
+                     t_grid=999),
+              EkSpec(kind="convolutions", N=20, c=0.1, theta1=2.0,
+                     theta2=3.0, u=-0.6, t_grid=777)]
+    for spec in specs:
+        rep = ek_badness(spec)
+        badness, witness, good = _reference_badness(spec)
+        assert (rep.badness, rep.witness_t) == (badness, witness), spec
+        assert np.array_equal(rep.good, good), spec
+
+
 def test_precision_guard():
     with pytest.raises(Exception) as err:
         ek_badness(EkSpec(kind="translations", N=200, c=0.1, lam=0.5))
@@ -89,6 +291,80 @@ def test_count_translations_frozen():
     repg = ek_count_sequences("translations", 8, 0.05, 0.0, theta=1.0 / GOLDEN)
     assert repg.counts[0] == 1
     assert all(c == 0 for c in repg.counts[1:])
+
+
+def test_count_benchmark_settings():
+    """The exact tuples the benchmark checks, from the array frontier."""
+    rep = ek_count_sequences("translations", 12, 0.1, 0.25, theta=1.0 / GOLDEN)
+    assert rep.counts == EKCOUNT_TRANSLATIONS
+    rep = ek_count_sequences("convolutions", 20, 0.1, 0.25, theta1=2.0)
+    assert rep.counts == EKCOUNT_CONVOLUTIONS
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["translations", "convolutions"]),
+       theta=st.floats(1.0, 3.0, exclude_min=True),
+       c=st.floats(0.02, 0.45, exclude_min=True, exclude_max=True),
+       delta=st.floats(0.0, 1.0), chunk=st.sampled_from([257, 1 << 21]),
+       data=st.data())
+def test_count_matches_oracle(kind, theta, c, delta, chunk, data):
+    """The array frontier equals the dict counters, or both run out of budget.
+
+    A small node budget keeps the oracle fast on the branching cases; small
+    candidate chunks split levels into many slices and merges.
+    """
+    N = data.draw(st.integers(3, 9 if kind == "translations" else 14))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ekscan, "_NODE_BUDGET", 10_000)
+        mp.setattr(ekscan, "_CANDIDATE_CHUNK", chunk)
+        new = _outcome(kind, theta, N, c, delta, oracle=False)
+        ref = _outcome(kind, theta, N, c, delta, oracle=True)
+    assert new[0] is BudgetError if ref[0] is BudgetError else new == ref
+
+
+@pytest.mark.parametrize("chunk", [1 << 21, 1000])
+@pytest.mark.parametrize("kind,theta,N", [("convolutions", 2.0, 14),
+                                          ("translations", 1.0 / GOLDEN, 9)])
+def test_node_budget_matches_oracle(monkeypatch, kind, theta, N, chunk):
+    """Around every running node total of the oracle, the counter raises
+    exactly where the oracle raises and says how far over it went: the
+    total itself when a level fits one candidate chunk, a lower bound
+    above the budget otherwise."""
+    totals = []
+    _ORACLES[kind](theta, N, 0.1, 0.25, totals)
+    firsts = {}
+    for length, total in totals:
+        firsts.setdefault(total, length)
+    monkeypatch.setattr(ekscan, "_CANDIDATE_CHUNK", chunk)
+    for total, length in firsts.items():
+        for budget in (total - 1, total):
+            monkeypatch.setattr(ekscan, "_NODE_BUDGET", budget)
+            new = _outcome(kind, theta, N, 0.1, 0.25, oracle=False)
+            ref = _outcome(kind, theta, N, 0.1, 0.25, oracle=True)
+            assert (new[0] is BudgetError) == (ref[0] is BudgetError)
+            if new[0] is not BudgetError:
+                assert new == ref
+                continue
+            match = re.fullmatch(r"sequence enumeration needs at least (\d+) "
+                                 r"nodes by length (\d+), over the budget "
+                                 r"(\d+)", new[1])
+            assert match and int(match[3]) == budget, new[1]
+            needed, at = int(match[1]), int(match[2])
+            if budget < total:
+                assert at == length and budget < needed <= total
+                assert needed == total or chunk < 1 << 21
+            else:
+                assert at > length
+
+
+def test_count_exact_range():
+    """Terms past float64's exact range raise PrecisionError, exit 4."""
+    with pytest.raises(PrecisionError):
+        ek_count_sequences("convolutions", 22, 0.04, 0.0, theta1=10.0)
+    with pytest.raises(PrecisionError):
+        ek_count_sequences("translations", 8, 0.001, 0.0, theta=20.0)
+    assert main(["ekcount", "convolutions", "--theta1", "10", "--N", "22",
+                 "--c", "0.04", "--delta", "0"]) == 4
 
 
 def test_count_growth_with_slack():

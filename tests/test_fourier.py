@@ -7,8 +7,9 @@ import pytest
 
 from selfsim import (BudgetError, ConvolvedMeasure, HomogeneousIfs,
                      PrecisionError, ProjectedMeasure, SelfSimilarMeasure,
-                     Similarity, SpecError, decay_fit, ft_eval,
+                     Similarity, SpecError, decay_fit, fourier, ft_eval,
                      uniform_weights)
+from selfsim.fourier import ft_batch
 
 GOLDEN_FLOOR = 0.006613493036060793
 
@@ -170,3 +171,121 @@ def test_projected_measure_object(four_corner):
     assert abs(v) <= 1.0 + err
     prof = decay_fit(pm, 2.0 ** 8, 8, samples_per_band=8)
     assert prof.sigma_hat >= 0.0
+
+
+def _band_frequencies(seed: int) -> np.ndarray:
+    """Frequencies of both signs over five decades, with ones whose whole
+    product is within tol (xi = 0 and 1e-14) and repeated factor counts."""
+    xs = 10.0 ** np.random.default_rng(seed).uniform(-1.0, 4.0, size=300)
+    xs[::7] *= -1.0
+    return np.concatenate(([0.0, 1e-14], xs))
+
+
+def _batch_measures(golden_bc, biased13):
+    """The 1D systems of both signs, the rotating projection and a
+    convolution with negative u."""
+    neg = HomogeneousIfs(1, Similarity(ratio=0.45, sign=-1),
+                         np.array([0.0, 0.3, 1.0]))
+    rot = HomogeneousIfs(2, Similarity(ratio=0.4, alpha=0.3),
+                         np.array([[0.0, 0.0], [0.6, 0.1], [0.2, 0.6]]))
+    return {
+        "golden": SelfSimilarMeasure(*golden_bc),
+        "biased": SelfSimilarMeasure(*biased13),
+        "negative": SelfSimilarMeasure(neg, np.array([0.2, 0.5, 0.3])),
+        "rotating_projection": ProjectedMeasure(
+            SelfSimilarMeasure(rot, uniform_weights(3)), 1.1),
+        # Both factors complex-valued: a real factor would hide a product
+        # rounded by numpy's vectorised complex multiply.
+        "convolution_negative_u": ConvolvedMeasure(
+            SelfSimilarMeasure(neg, uniform_weights(3)),
+            SelfSimilarMeasure(*biased13), u=-1.3),
+    }
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+def test_batched_ft_matches_scalar_bits(golden_bc, biased13):
+    """One call per band gives every sample the bits of its own scalar call."""
+    for i, (name, measure) in enumerate(_batch_measures(golden_bc, biased13).items()):
+        xs = _band_frequencies(i)
+        for tol in (1e-9, 1e-13):
+            vals, errs = measure.ft(xs, tol=tol)
+            pairs = [measure.ft(x, tol=tol) for x in xs]
+            assert _bits(vals) == _bits(np.array([v for v, _ in pairs])), name
+            assert _bits(errs) == _bits(np.array([e for _, e in pairs])), name
+
+
+def test_decay_fit_keeps_scalar_bits(golden_bc, biased13):
+    """decay_fit's moduli and bounds are those of one scalar call per sample."""
+    for name, measure in _batch_measures(golden_bc, biased13).items():
+        prof = decay_fit(measure, 2.0 ** 10, 10, samples_per_band=24,
+                         tol=1e-12, seed=2)
+        pairs = [measure.ft(x, tol=1e-12) for x in prof.xi]
+        moduli = np.array([abs(v) for v, _ in pairs])
+        assert _bits(prof.abs_value) == _bits(moduli), name
+        assert _bits(prof.error_bound) == _bits(np.array([e for _, e in pairs])), name
+
+
+def test_ft_bits_frozen(golden_bc, biased13):
+    """Values and bounds pinned to the bit, as the one-sample-at-a-time
+    kernel computed them; the CSV output of fourier depends on each bit."""
+    measures = _batch_measures(golden_bc, biased13)
+    frozen = [
+        ("golden", 3.7, -0.003941122224500293, 0.0, 7.927390666551153e-13),
+        ("golden", 21.0, 0.0426586839045371, 0.0, 6.564433765251012e-13),
+        ("negative", 37.5, -0.01886963224022083, -0.01889924410173356,
+         5.831013266225549e-13),
+        ("rotating_projection", 17.0, -0.1920576948599981,
+         -0.004831715535723478, 6.646258608396637e-13),
+    ]
+    for name, x, re_part, im_part, bound in frozen:
+        for xs in (x, np.array([0.5, x, 2.0 * x])):
+            v, e = measures[name].ft(xs, tol=1e-12)
+            v, e = (v, e) if np.ndim(xs) == 0 else (v[1], e[1])
+            assert (v.real, v.imag, e) == (re_part, im_part, bound), name
+
+
+def test_batched_ft_chunk_invariant(monkeypatch, golden_bc, biased13):
+    """Tiny phase chunks (down to one sample per chunk) change no bit."""
+    measures = _batch_measures(golden_bc, biased13)
+    xs = _band_frequencies(9)
+    full = {name: m.ft(xs, tol=1e-12) for name, m in measures.items()}
+    for chunk in (1, 1000):
+        monkeypatch.setattr(fourier, "_PHASE_CHUNK", chunk)
+        for name, m in measures.items():
+            vals, errs = m.ft(xs, tol=1e-12)
+            assert _bits(vals) == _bits(full[name][0]), (name, chunk)
+            assert _bits(errs) == _bits(full[name][1]), (name, chunk)
+
+
+def test_batched_ft_factor_cap(monkeypatch, cantor13):
+    """One sample over the factor cap fails the whole batch."""
+    ifs, p = cantor13
+    monkeypatch.setattr(fourier, "_MAX_FACTORS", 25)
+    ft_batch(ifs, p, np.array([1.0, 2.0, 3.0]), tol=1e-9)
+    with pytest.raises(BudgetError, match="over the cap"):
+        ft_batch(ifs, p, np.array([1.0, 2.0, 1e6, 3.0]), tol=1e-9)
+    with pytest.raises(SpecError):
+        ft_batch(ifs, p, np.ones((3, 2)), tol=1e-9)
+
+
+def test_batched_ft_against_mpmath(golden_bc):
+    """A few batched values agree with a 40-digit product within the bound."""
+    mpmath = pytest.importorskip("mpmath")
+    neg = HomogeneousIfs(1, Similarity(ratio=0.45, sign=-1),
+                         np.array([0.0, 0.3, 1.0]))
+    xs = np.array([0.7, -13.0, 250.0])
+    for ifs, p in (golden_bc, (neg, np.array([0.2, 0.5, 0.3]))):
+        vals, errs = ft_batch(ifs, p, xs, tol=1e-12)
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(ifs.lam)
+            for x, v, e in zip(xs, vals, errs):
+                ref, n = mpmath.mpc(1), 0
+                while abs(lam) ** n * abs(x) > mpmath.mpf(10) ** -35:
+                    ref *= mpmath.fsum(
+                        mpmath.mpf(pj) * mpmath.expjpi(lam ** n * mpmath.mpf(aj) * x)
+                        for pj, aj in zip(p, ifs.translations))
+                    n += 1
+                assert abs(complex(ref) - v) <= e + 1e-12
