@@ -9,15 +9,15 @@ low, which is the phenomenon the scanners quantify.
 
 The sequence counters (ek_count_sequences) search level by level over
 whole arrays. A level is a frontier of states, each a packed int64 key
-(the last term, or the last two terms for translations) with the minimal
-bad count per trailing flag as int8. Every state expands to its candidate
-range at once, the same float comparisons as a one-at-a-time search
-decide which candidates are admissible, and equal keys merge by sort and
-minimum. States of lengths below N are nodes: once their running total
-exceeds _NODE_BUDGET the search raises BudgetError, saying how many nodes
-it needed by which length. Terms must stay where float64 computes the
-centres exactly, |K| < 2^26 where K^2 appears (translations) and
-|theta1 K| < 2^52 otherwise; beyond that the counters raise PrecisionError.
+(the last term, or the last two for translations) with the minimal bad
+count per trailing flag as int8. All states expand to their candidate
+ranges at once, the float comparisons of a one-at-a-time search decide
+admissibility, and equal keys merge by sort and minimum. States of
+lengths below N (from 2 for translations) are nodes; once their total
+exceeds _NODE_BUDGET the search raises BudgetError, saying how many it
+needed by which length. Terms must keep the centres exact in float64:
+|K| < 2^26 where K^2 appears (translations), |theta1 K| < 2^52
+otherwise; beyond that the counters raise PrecisionError.
 """
 
 from __future__ import annotations

@@ -301,7 +301,7 @@ def test_count_benchmark_settings():
     assert rep.counts == EKCOUNT_CONVOLUTIONS
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["translations", "convolutions"]),
        theta=st.floats(1.0, 3.0, exclude_min=True),
        c=st.floats(0.02, 0.45, exclude_min=True, exclude_max=True),
