@@ -116,9 +116,13 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     cells are q_i plus floor((r_i + offset) / g), which depends only on r_i
     and j. Rows of h1 are grouped by r_i; within a group a pair adds its
     mass at q_i plus a column code (first cell, and for upper mass also the
-    number of cells touched). Pairs are summed per code about _PAIR_CHUNK
-    at a time, so memory is bounded by the chunk and the occupied output
-    cells, not by the number of pairs.
+    number of cells touched). Many columns share a code, so within a group
+    the weights of h2 are first summed per distinct code, and each row
+    pairs with those sums only. Pairs are summed per output code about
+    _PAIR_CHUNK at a time, so memory is bounded by the chunk and the
+    occupied output cells, not by the number of pairs. The pair budget is
+    charged on the pairs of the larger of the lower and upper passes, which
+    is at most h1 cells x h2 cells.
     """
     if h1.ambient_dim != 1 or h2.ambient_dim != 1:
         raise SpecError("convolution needs 1D histograms")
@@ -130,11 +134,6 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
         n_out = h1.n - 4
     if not (1 <= n_out <= h1.n):
         raise SpecError("output level must lie in [1, input level]")
-    pairs = h1.num_cells * h2.num_cells
-    if pairs > _PAIR_BUDGET:
-        raise BudgetError(
-            f"{h1.num_cells} x {h2.num_cells} = {pairs} cell pairs exceed "
-            f"the budget {_PAIR_BUDGET}")
 
     (a0, a1) = h1.box()[0]
     (b0, b1) = h2.box()[0]
@@ -166,10 +165,20 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
         rq = q[rows] - base
         first, last = (r + in_lo) // g, (r + in_hi) // g
         inside = first == last
-        low_blocks.append((rq, h1.lower[rows], first[inside], h2.lower[inside]))
+        low_blocks.append((rq, h1.lower[rows],
+                           *_column_sums(first[inside], h2.lower[inside])))
         first, last = (r + out_lo) // g, (r + out_hi) // g
-        up_blocks.append((rq * nw, h1.upper[rows], first * nw + last - first,
-                          h2.upper))
+        up_blocks.append((rq * nw, h1.upper[rows],
+                          *_column_sums(first * nw + last - first, h2.upper)))
+    # Pairs _pair_sums forms (it skips zero weights), charged before any is.
+    pairs = max(sum(np.count_nonzero(wr) * np.count_nonzero(wc)
+                    for _, wr, _, wc in blocks)
+                for blocks in (low_blocks, up_blocks))
+    if pairs > _PAIR_BUDGET:
+        raise BudgetError(
+            f"the pair stage forms {pairs} cell pairs ({h1.num_cells} x "
+            f"{h2.num_cells} cells, columns summed per output code), over "
+            f"the budget {_PAIR_BUDGET}")
     low_cells, low_w = _pair_sums(low_blocks, span)
     up_codes, up_w = _pair_sums(up_blocks, span * nw)
     t_lo, widths = np.divmod(up_codes, nw)
@@ -178,6 +187,12 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
                                    [t_lo + widths], up_w, (k0,), (k1,))
     return DyadicHistogram(1, n_out, min(h1.depth_used, h2.depth_used),
                            (k0,), (k1,), idx, lower, upper)
+
+
+def _column_sums(codes: np.ndarray, weights: np.ndarray):
+    """Sum weights per distinct code. Returns (codes, sums), codes sorted."""
+    cols, inverse = np.unique(codes, return_inverse=True)
+    return cols, np.bincount(inverse, weights=weights)
 
 
 def _pair_sums(blocks: list, length: int):

@@ -130,12 +130,81 @@ def test_convolution_validation(cantor13):
 
 
 def test_convolution_pair_budget(lebesgue_unit):
+    """At n_out = n every column has its own code, so every pair is formed."""
     ifs, p = lebesgue_unit
     h = histogram(ifs, p, 13)
     assert h.num_cells == 8192
     with pytest.raises(BudgetError) as err:
-        convolve_hist(h, h, 1.0, n_out=9)
-    assert "8192 x 8192 = 67108864 cell pairs" in str(err.value)
+        convolve_hist(h, h, 1.0, n_out=13)
+    assert "forms 67108864 cell pairs (8192 x 8192 cells" in str(err.value)
+
+
+def _formed_pairs(h1, h2, u, n_out):
+    """Pairs the pair stage forms, counted from the float pair geometry.
+
+    Rows of h1 with the same k mod g pair with one sum per distinct column
+    code: the output cell relative to k // g holding the whole pair (lower
+    pass), or the first cell touched and the number touched (upper pass).
+    Zero weights form no pair. Returns the larger of the two passes.
+    """
+    g = 1 << (h1.n - n_out)
+    w_in = h1.cell_width
+    y = np.stack([h2.indices * w_in * u, (h2.indices + 1) * w_in * u])
+    (a0, a1), (b0, b1) = h1.box()[0], h2.box()[0]
+    eps = _EPS_BASE * max(1.0, abs(a0 + min(u * b0, u * b1)),
+                          abs(a1 + max(u * b0, u * b1)))
+    scale = 2.0 ** n_out
+    passes = [0, 0]
+    for r in np.unique(h1.indices % g):
+        rows = h1.indices % g == r
+        k = h1.indices[rows][0]
+        lo = k * w_in + y.min(axis=0)
+        hi = k * w_in + w_in + y.max(axis=0)
+        c_lo = np.floor((lo + eps) * scale).astype(np.int64) - k // g
+        inside = (c_lo + k // g == np.floor((hi - eps) * scale)) & (h2.lower > 0)
+        t_lo = np.floor((lo - eps) * scale).astype(np.int64)
+        t_hi = np.floor((hi + eps) * scale).astype(np.int64)
+        up_codes = set(zip((t_lo - k // g).tolist(), (t_hi - t_lo).tolist()))
+        passes[0] += (np.count_nonzero(h1.lower[rows])
+                      * np.unique(c_lo[inside]).size)
+        passes[1] += np.count_nonzero(h1.upper[rows]) * len(up_codes)
+    return max(passes)
+
+
+@pytest.fixture
+def many_columns_per_code():
+    """Cantor factors at level 12 binned at level 8 with u = 0.3."""
+    h1 = histogram(_CANTOR13, [0.4, 0.6], 12)
+    h2 = histogram(_CANTOR14, [0.7, 0.3], 12)
+    return h1, h2, 0.3, 8
+
+
+def test_convolution_budget_charges_formed_pairs(monkeypatch,
+                                                 many_columns_per_code):
+    """A budget between the pairs formed and h1 x h2 cells lets the call run."""
+    h1, h2, u, n_out = many_columns_per_code
+    want = convolve_hist(h1, h2, u, n_out=n_out)
+    formed = _formed_pairs(h1, h2, u, n_out)
+    raw = h1.num_cells * h2.num_cells
+    assert formed * 4 < raw
+    for budget in (formed, (formed + raw) // 2):
+        monkeypatch.setattr(transforms, "_PAIR_BUDGET", budget)
+        got = convolve_hist(h1, h2, u, n_out=n_out)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.lower, want.lower)
+        assert np.array_equal(got.upper, want.upper)
+
+
+def test_convolution_budget_names_formed_pairs(monkeypatch,
+                                               many_columns_per_code):
+    """A budget below the pairs formed raises and names their count."""
+    h1, h2, u, n_out = many_columns_per_code
+    formed = _formed_pairs(h1, h2, u, n_out)
+    monkeypatch.setattr(transforms, "_PAIR_BUDGET", formed - 1)
+    with pytest.raises(BudgetError) as err:
+        convolve_hist(h1, h2, u, n_out=n_out)
+    assert f"forms {formed} cell pairs" in str(err.value)
+    assert f"over the budget {formed - 1}" in str(err.value)
 
 
 def _all_pairs_convolve(h1, h2, u, n_out):
@@ -171,10 +240,12 @@ _CANTOR14 = HomogeneousIfs(1, Similarity(ratio=0.25, sign=1),
 def _check_matches_all_pairs(h1, h2, u, n_out):
     """convolve_hist against the oracle: same cells, same masses.
 
-    Both sum the same pair products, in different orders, so a cell's mass
-    may differ by rounding: 1e-15 plus 1e-14 of the mass (about 45 units in
-    the last place). Sums of over a thousand products per cell reach 1.1e-15
-    at a mass of 0.55.
+    The oracle sums every pair product; convolve_hist first sums the
+    column weights that share a code and multiplies each row by those sums.
+    The two sums are equal in exact arithmetic and differ in float rounding
+    only, so a cell's mass may differ by 1e-15 plus 1e-14 of the mass
+    (about 45 units in the last place). Sums of over a thousand products
+    per cell reach 1.1e-15 at a mass of 0.55.
     """
     got = convolve_hist(h1, h2, u, n_out=n_out)
     want = _all_pairs_convolve(h1, h2, u, n_out)
@@ -200,6 +271,12 @@ def test_convolution_matches_all_pairs(u, guard, n, w1, w2):
     got = _check_matches_all_pairs(h1, h2, u, n - guard)
     assert np.all(got.lower >= 0.0) and np.all(got.lower <= got.upper)
     assert got.total_lower() <= 1.0 <= got.total_upper()
+
+
+def test_convolution_matches_all_pairs_many_columns_per_code(
+        many_columns_per_code):
+    """u = 0.3 with guard 4 puts many columns of h2 on each output code."""
+    _check_matches_all_pairs(*many_columns_per_code)
 
 
 @pytest.mark.parametrize("guard", [0, 1, 3])
