@@ -139,6 +139,17 @@ def test_convolution_pair_budget(lebesgue_unit):
     assert "forms 67108864 cell pairs (8192 x 8192 cells" in str(err.value)
 
 
+def test_convolution_n17_within_default_budget():
+    """Cantor(1/3) * T_0.7 Cantor(1/4) at n = 17 has 18962 x 4094 = 77.6M
+    cell pairs at level 21, but forms fewer pairs than the 50M budget."""
+    m = transforms.ConvolvedMeasure(
+        transforms.SelfSimilarMeasure(_CANTOR13, [0.5, 0.5]),
+        transforms.SelfSimilarMeasure(_CANTOR14, [0.5, 0.5]), 0.7)
+    h = m.histogram(17)
+    assert h.n == 17
+    assert h.total_lower() <= 1.0 <= h.total_upper()
+
+
 def _formed_pairs(h1, h2, u, n_out):
     """Pairs the pair stage forms, counted from the float pair geometry.
 
