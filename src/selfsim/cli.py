@@ -33,11 +33,12 @@ def _fmt(x) -> str:
 
 
 def _emit(path: str | None, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
-                              for c in row))
-    text = "\n".join(lines) + "\n"
+    """Write a CSV table; each column keeps the type of its first row."""
+    text = ",".join(header) + "\n"
+    if rows:
+        fmt = ",".join("%s" if isinstance(c, (str, int)) else "%.17g"
+                       for c in rows[0]) + "\n"
+        text += (fmt * len(rows)) % tuple(c for row in rows for c in row)
     if path is None:
         sys.stdout.write(text)
     else:

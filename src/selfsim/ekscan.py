@@ -219,21 +219,6 @@ class EkCountReport:
     rates: tuple
 
 
-def _first_terms(theta: float, w: tuple, inf: int) -> dict:
-    """Candidates K_1 in [theta - w_g, theta^2 + w_g], with the minimal bad
-    count per flag g of the first index (inf where g does not admit K_1)."""
-    first = {}
-    for g in (0, 1):
-        lo = math.ceil(theta - w[g] - 1e-12)
-        hi = math.floor(theta * theta + w[g] + 1e-12)
-        for k in range(lo, hi + 1):
-            b = [inf, inf]
-            b[g] = g
-            prev = first.get(k)
-            first[k] = b if prev is None else [min(prev[0], b[0]), min(prev[1], b[1])]
-    return first
-
-
 def _relax(prev: np.ndarray, gap: np.ndarray, moves: list, slots: int,
            inf: int, max_bad: int) -> np.ndarray:
     """Minimal bad count per destination slot over the admissible moves.
@@ -320,10 +305,20 @@ def _count(bad: np.ndarray, delta: float, n: int) -> int:
 
 
 def _first_frontier(theta: float, w: tuple, inf: int):
-    """_first_terms as arrays: terms, and counts with one row per flag."""
-    first = _first_terms(theta, w, inf)
-    terms = np.fromiter(first, dtype=np.int64, count=len(first))
-    bad = np.array(list(first.values()), dtype=np.int8).reshape(-1, 2).T
+    """Candidates K_1 in [theta - w_g, theta^2 + w_g] for either flag g.
+
+    Returns the terms (flag 0's range, then flag 1's terms outside it) and
+    the minimal bad count of the first index, one int8 row per flag: g
+    where flag g admits K_1, inf elsewhere.
+    """
+    bounds = [(math.ceil(theta - wg - 1e-12),
+               math.floor(theta * theta + wg + 1e-12)) for wg in w]
+    (lo0, hi0), (lo1, hi1) = bounds
+    extra = np.arange(lo1, hi1 + 1, dtype=np.int64)
+    terms = np.concatenate((np.arange(lo0, hi0 + 1, dtype=np.int64),
+                            extra[(extra < lo0) | (extra > hi0)]))
+    bad = np.array([np.where((terms >= lo) & (terms <= hi), g, inf)
+                    for g, (lo, hi) in enumerate(bounds)], dtype=np.int8)
     return terms, bad
 
 

@@ -80,7 +80,8 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
         n_factors = math.ceil(math.log(tol / base) / math.log(r))
         if n_factors > _MAX_FACTORS:
             raise BudgetError(
-                f"{n_factors} product factors needed at ratio {r}, over the cap")
+                f"{n_factors} product factors needed at ratio {r}, over the "
+                f"cap {_MAX_FACTORS}")
         bounds[i] = base * r ** n_factors
         groups.setdefault(n_factors, []).append(i)
 

@@ -13,7 +13,7 @@ from selfsim import (BudgetError, EkSpec, PrecisionError, SpecError,
                      centered_frac, ek_badness, ek_count_sequences, ek_sweep)
 from selfsim import ekscan
 from selfsim.cli import main
-from selfsim.ekscan import _clamp_jobs, _first_terms
+from selfsim.ekscan import _clamp_jobs, _first_frontier
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The benchmark's exact counts (perfbench/workloads.py).
@@ -21,6 +21,21 @@ EKCOUNT_TRANSLATIONS = (1, 1, 2, 23, 46, 87, 173, 2169, 4145, 7739, 14313,
                         235746)
 EKCOUNT_CONVOLUTIONS = (3, 3, 3, 19, 25, 31, 37, 205, 279, 365, 463, 2399,
                         3325, 4471, 5861, 29125, 40847, 55885, 74823, 361159)
+
+
+def _first_terms(theta: float, w: tuple, inf: int) -> dict:
+    """Candidates K_1 in [theta - w_g, theta^2 + w_g], with the minimal bad
+    count per flag g of the first index (inf where g does not admit K_1)."""
+    first = {}
+    for g in (0, 1):
+        lo = math.ceil(theta - w[g] - 1e-12)
+        hi = math.floor(theta * theta + w[g] + 1e-12)
+        for k in range(lo, hi + 1):
+            b = [inf, inf]
+            b[g] = g
+            prev = first.get(k)
+            first[k] = b if prev is None else [min(prev[0], b[0]), min(prev[1], b[1])]
+    return first
 
 
 # Reference counters: one dict entry per distinct state, expanded one node
@@ -299,6 +314,20 @@ def test_count_benchmark_settings():
     assert rep.counts == EKCOUNT_TRANSLATIONS
     rep = ek_count_sequences("convolutions", 20, 0.1, 0.25, theta1=2.0)
     assert rep.counts == EKCOUNT_CONVOLUTIONS
+
+
+@pytest.mark.parametrize("c", [0.02, 0.1, 0.45, 0.7])
+@pytest.mark.parametrize("theta", [1.0001, 1.618, 2.0, 3.7, 10.0])
+def test_first_frontier_matches_dict(theta, c):
+    """Same first terms, in the same order, and the same counts per flag.
+
+    c = 0.7 makes flag 0's range the wider one.
+    """
+    first = _first_terms(theta, (c, 0.5), 13)
+    terms, bad = _first_frontier(theta, (c, 0.5), 13)
+    assert terms.dtype == np.int64 and bad.dtype == np.int8
+    assert terms.tolist() == list(first)
+    assert bad.T.tolist() == list(first.values())
 
 
 @settings(max_examples=40, deadline=None)
