@@ -120,9 +120,10 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     the weights of h2 are first summed per distinct code, and each row
     pairs with those sums only. Pairs are summed per output code about
     _PAIR_CHUNK at a time, so memory is bounded by the chunk and the
-    occupied output cells, not by the number of pairs. The pair budget is
-    charged on the pairs of the larger of the lower and upper passes, which
-    is at most h1 cells x h2 cells.
+    occupied output cells, not by the number of pairs. The pair budget
+    caps the groups times the cells of h2 (the column sums' work) and the
+    pairs of the larger of the lower and upper passes; both are at most
+    h1 cells x h2 cells.
     """
     if h1.ambient_dim != 1 or h2.ambient_dim != 1:
         raise SpecError("convolution needs 1D histograms")
@@ -158,8 +159,16 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     # Upper codes carry the number of extra cells touched: cell * nw + width.
     nw = int((out_hi - out_lo).max()) // g + 2
     order = np.argsort(res, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(res[order])) + 1)
+    # The column sums visit every cell of h2 once per residue group.
+    visits = len(groups) * h2.num_cells
+    if visits > _PAIR_BUDGET:
+        raise BudgetError(
+            f"summing columns per output code visits {len(groups)} x "
+            f"{h2.num_cells} = {visits} group-column pairs, over the budget "
+            f"{_PAIR_BUDGET}")
     low_blocks, up_blocks = [], []
-    for rows in np.split(order, np.flatnonzero(np.diff(res[order])) + 1):
+    for rows in groups:
         # Rows sharing k_i mod g send column j to the same output cells.
         r = int(res[rows[0]])
         rq = q[rows] - base

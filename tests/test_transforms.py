@@ -182,6 +182,18 @@ def _formed_pairs(h1, h2, u, n_out):
     return max(passes)
 
 
+def test_convolution_budget_bounds_column_sums(monkeypatch, lebesgue_unit):
+    """With many residue groups the column sums' work is charged up front,
+    even when few pairs would be formed."""
+    ifs, p = lebesgue_unit
+    h = histogram(ifs, p, 10)
+    monkeypatch.setattr(transforms, "_PAIR_BUDGET", 100_000)
+    assert _formed_pairs(h, h, 1.0, 1) <= 100_000 < 512 * 1024
+    with pytest.raises(BudgetError) as err:
+        convolve_hist(h, h, 1.0, n_out=1)
+    assert "visits 512 x 1024 = 524288 group-column pairs" in str(err.value)
+
+
 @pytest.fixture
 def many_columns_per_code():
     """Cantor factors at level 12 binned at level 8 with u = 0.3."""
