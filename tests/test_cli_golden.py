@@ -47,6 +47,13 @@ DOCS = {
     "conv": {"ambient_dim": 1, "ratio": 1 / 3, "sign": 1,
              "translations": [0.0, 2 / 3],
              "derive": {"kind": "convolution", "other": "c14.json", "u": 0.7}},
+    # Golden Bernoulli convolutions of sign -1 in both factors: their
+    # product is the half-turn (alpha = 1/2) system on (+-1, +-1).
+    "halfturn": {"ambient_dim": 1, "ratio": _G, "sign": -1,
+                 "translations": [-1.0, 1.0],
+                 "derive": {"kind": "product", "other": {
+                     "ambient_dim": 1, "ratio": _G, "sign": -1,
+                     "translations": [-1.0, 1.0]}}},
 }
 
 # name -> argv, with {doc} standing for the path of a document above.
@@ -74,6 +81,13 @@ COMMANDS = {
     "check_overlap_1d": ["check", "--ifs", "{golden}", "--depth", "6"],
     "check_overlap_2d": ["check", "--ifs", "{rotover}", "--depth", "4",
                          "--n", "4", "--extra-depth", "0"],
+    # The factor histograms of these two merge overlapping words: the golden
+    # system in 1D, its half-turn product in 2D.
+    "convolve_golden_merging": ["convolve", "--ifs", "{golden}", "--other",
+                                "{golden}", "--u", "1.0", "--n", "7"],
+    "project_half_turn_golden_merging": ["project", "--ifs", "{halfturn}",
+                                         "--beta", "1.0", "--n", "6",
+                                         "--extra-depth", "2"],
 }
 
 
