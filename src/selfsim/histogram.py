@@ -33,6 +33,8 @@ from .ifs import HomogeneousIfs, cylinder_words
 _EPS_BASE = 1e-14
 _DENSE_SPAN_CAP = 1 << 23
 _MERGE_GUARD_BITS = 40
+# Odd multiplier (2^64 over the golden ratio) of the 2D merge keys' hash.
+_PAIR_HASH = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,32 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
     Keeps the lexicographically first representative per group. Purely an
     optimization for overlapping (lattice-like) systems; skipping it only
     costs memory, never correctness.
+
+    A level usually has no two words with one rounded key (separated
+    systems never do), so an unstable sort first checks for equal
+    neighbours: of the keys in 1D, of a wrapped uint64 hash of the key pair
+    in 2D. With none, every group is one row and the inputs come back
+    unchanged. Otherwise the stable sort below groups the rows; a hash
+    collision of distinct pairs only sends a level down that exact path.
     """
     if centers.shape[0] < 4096:
         return centers, weights
     scale = 1.0 / quantum
-    mx = float(np.max(np.abs(centers))) if centers.size else 0.0
+    mx = max(float(centers.max()), -float(centers.min()))
     if mx * scale >= 2.0 ** 62:
         return centers, weights
-    keys = np.round(centers * scale).astype(np.int64)
+    keys = centers * scale
+    np.round(keys, out=keys)
+    keys = keys.astype(np.int64)
+    if centers.ndim == 1:
+        probe = np.sort(keys)
+    else:
+        pair = keys.view(np.uint64)
+        probe = pair[:, 0] * np.uint64(_PAIR_HASH)
+        probe += pair[:, 1]
+        probe.sort()
+    if not np.any(probe[1:] == probe[:-1]):
+        return centers, weights
     order = (np.argsort(keys, kind="stable") if centers.ndim == 1
              else np.lexsort((keys[:, 1], keys[:, 0])))
     ks = keys[order]
@@ -162,14 +182,22 @@ def _aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
 
 def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
                            w_lower: np.ndarray, w_upper: np.ndarray,
-                           n: int, k_min, k_max, eps: float):
+                           n: int, k_min, k_max, eps: float,
+                           settled: np.ndarray | None = None,
+                           settled_w: np.ndarray | None = None):
     """Bin weighted intervals or boxes into level-n dyadic cells of a box.
 
     e_lo and e_hi hold the enclosure ends, shape (K,) for intervals with
     scalar k_min, k_max, or (K, d) for boxes with one bound per axis.
     w_lower feeds the lower mass of the cell containing an enclosure on
-    every axis, w_upper the upper mass of every cell it touches. Returns
-    (indices, lower, upper) with absolute cell indices.
+    every axis, w_upper the upper mass of every cell it touches.
+
+    settled, shape (S,) or (S, d), holds the integer cells of enclosures
+    already known to lie in one cell, with their weights in settled_w; each
+    adds its weight to the lower and upper mass of its cell. They come
+    ahead of the enclosures in every sum, so the masses are those of
+    binning their ends first. Returns (indices, lower, upper) with absolute
+    cell indices.
     """
     scale = 2.0 ** n
     contained = True
@@ -181,8 +209,16 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
         low.append(c_lo)
         t_lo.append(np.floor((lo - eps) * scale).astype(np.int64))
         t_hi.append(np.floor((hi + eps) * scale).astype(np.int64))
-    return _bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
-                      t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max))
+    low = [c[contained] for c in low]
+    w_lower = w_lower[contained]
+    if settled is not None:
+        axes = np.atleast_2d(settled.T)
+        low, t_lo, t_hi = ([np.concatenate(pair) for pair in zip(axes, cells)]
+                           for cells in (low, t_lo, t_hi))
+        w_lower = np.concatenate((settled_w, w_lower))
+        w_upper = np.concatenate((settled_w, w_upper))
+    return _bin_cells(low, w_lower, t_lo, t_hi, w_upper,
+                      np.atleast_1d(k_min), np.atleast_1d(k_max))
 
 
 def _bin_cells(low_cells: list, low_w: np.ndarray, t_lo: list, t_hi: list,
@@ -276,33 +312,39 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
     eps = _EPS_BASE * max(1.0, coord_bound)
     scale = 2.0 ** n
     quantum = 2.0 ** -(n + _MERGE_GUARD_BITS)
-    # Enclosure ends and weights of the words to bin: those settled before
-    # depth h, then all words left at depth h.
-    e_lo, e_hi, ws = [], [], []
+    # Cells and weights of the words settled before depth h.
+    cells, cell_w = [], []
 
     def merge_and_settle(depth, centers, weights):
         centers, weights = _merge_close_points(centers, weights, quantum)
         rho = ifs.map.ratio ** depth * r0
-        # No enclosure fits one cell before 2 (rho + eps) < 2^-n.
-        if depth < h and 2.0 * (rho + eps) * scale >= 1.0:
+        # No enclosure fits one cell before 2 (rho + eps) < 2^-n; the words
+        # left at depth h are binned by their ends.
+        if depth == h or 2.0 * (rho + eps) * scale >= 1.0:
             return centers, weights
+        # floor((c - rho - eps) 2^n) and floor((c + rho + eps) 2^n), in place.
         c = centers + ifs.apply_power(depth, zs)
-        lo, hi = c - rho, c + rho
-        if depth < h:
-            one_cell = np.floor((lo - eps) * scale) == np.floor((hi + eps) * scale)
-            done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
-        else:
-            done = np.ones(centers.shape[0], dtype=bool)
-        e_lo.append(lo[done])
-        e_hi.append(hi[done])
-        ws.append(weights[done])
+        lo = c - rho
+        lo -= eps
+        lo *= scale
+        np.floor(lo, out=lo)
+        c += rho
+        c += eps
+        c *= scale
+        np.floor(c, out=c)
+        one_cell = lo == c
+        done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
+        cells.append(lo[done].astype(np.int64))
+        cell_w.append(weights[done])
         return centers[~done], weights[~done]
 
-    cylinder_words(ifs, p, h, word_budget, merge_and_settle)
+    centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
+    c = centers + ifs.apply_power(h, zs)
+    rho = ifs.map.ratio ** h * r0
     k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))
-    weights = np.concatenate(ws)
+    settled = (np.concatenate(cells), np.concatenate(cell_w)) if cells else (None, None)
     idx, lower, upper = bin_weighted_intervals(
-        np.concatenate(e_lo), np.concatenate(e_hi), weights, weights, n, k0, k1, eps)
+        c - rho, c + rho, weights, weights, n, k0, k1, eps, *settled)
     return DyadicHistogram(ifs.ambient_dim, n, h, k0, k1, idx, lower, upper)
 
 

@@ -315,28 +315,56 @@ def check_strong_separation(ifs: HomogeneousIfs, depth: int,
     return SeparationCertificate("Separated", depth)
 
 
+def _grid_windows(a: np.ndarray, b: np.ndarray, gap: float):
+    """Candidate rows of b for each row of a, as ranges of a sorted order.
+
+    Both are bucketed on a grid whose side is the least power of two at
+    least reach, where reach exceeds gap by the rounding of the differences
+    (coarsened to at most 2^30 cells per axis so the codes fit in int64).
+    Dividing by a power of two is exact, so a pair within gap lies in the
+    same or adjacent cells on every axis. Rows of b are sorted by cell code
+    (x-major in 2D), so the cells next to a row of a form one range of the
+    order in 1D and three, one per x column, in 2D. Returns (order, starts,
+    counts): row i's candidates are order[starts[i, j]:starts[i, j] +
+    counts[i, j]] over the ranges j.
+    """
+    pts = np.concatenate((a, b)).reshape(a.shape[0] + b.shape[0], -1)
+    reach = 1.001 * gap + 2.0 * np.spacing(np.max(np.abs(pts)))
+    low = pts.min(axis=0)
+    extent = float(np.max(pts.max(axis=0) - low))
+    side = math.ldexp(1.0, math.frexp(max(reach, math.ldexp(extent, -30)))[1])
+    g = (np.floor(pts / side) - np.floor(low / side)).astype(np.int64)
+    if a.ndim == 1:
+        code, offsets = g[:, 0], np.array([0])
+    else:
+        width = int(g[:, 1].max()) + 3
+        code, offsets = g[:, 0] * width + g[:, 1] + 1, np.array([-width, 0, width])
+    kb = code[a.shape[0]:]
+    order = np.argsort(kb, kind="stable")
+    sb = kb[order]
+    centre = code[:a.shape[0], None] + offsets
+    starts = np.searchsorted(sb, centre - 1, "left")
+    return order, starts, np.searchsorted(sb, centre + 1, "right") - starts
+
+
 def _first_close_pair(a: np.ndarray, b: np.ndarray, gap: float):
     """First (i, k), by i then k, with |a[i] - b[k]| <= gap, or None.
 
-    Only the rows of b whose first coordinate lies within reach of a[i]'s,
-    found by binary search in a sorted copy, are compared, and at most
-    _PAIR_CHUNK pairs are formed at a time, so memory stays linear in the
-    rows. reach exceeds gap by the rounding of the differences, so every
-    pair the distance test accepts is compared.
+    Only the rows of b in grid cells next to a[i]'s (_grid_windows) are
+    compared, and at most _PAIR_CHUNK pairs are formed at a time, so
+    memory stays linear in the rows.
     """
-    ka, kb = (a, b) if a.ndim == 1 else (a[:, 0], b[:, 0])
-    order = np.argsort(kb, kind="stable")
-    sb = kb[order]
-    reach = 1.001 * gap + 2.0 * np.spacing(max(np.max(np.abs(ka)), np.max(np.abs(kb))))
-    lo = np.searchsorted(sb, ka - reach, "left")
-    counts = np.searchsorted(sb, ka + reach, "right") - lo
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    order, lo, counts = _grid_windows(a, b, gap)
+    ends = np.cumsum(counts.sum(axis=1))
+    firsts = ends - counts.sum(axis=1)
     start = 0
     while start < a.shape[0]:
-        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + _PAIR_CHUNK, "right")))
-        rows = np.repeat(np.arange(start, stop), counts[start:stop])
-        ks = order[lo[rows] + np.arange(rows.size) + starts[start] - starts[rows]]
+        stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + _PAIR_CHUNK, "right")))
+        seg_n = counts[start:stop].ravel()
+        seg = np.repeat(np.arange(seg_n.size), seg_n)
+        pos = lo[start:stop].ravel()[seg] + np.arange(seg.size) - (np.cumsum(seg_n) - seg_n)[seg]
+        rows = start + seg // counts.shape[1]
+        ks = order[pos]
         diff = a[rows] - b[ks]
         close = (np.abs(diff) <= gap if a.ndim == 1
                  else diff[:, 0] ** 2 + diff[:, 1] ** 2 <= gap * gap)

@@ -1,5 +1,6 @@
 """Certified dyadic histograms: sandwich bounds, moments, entropy sums."""
 
+import importlib
 import itertools
 import math
 from collections import defaultdict
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      SpecError, cylinder_words, dyadic_depth, entropy_sum,
                      histogram, moment_sums, uniform_weights)
-from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _box_range,
-                               _merge_close_points, bin_weighted_intervals)
+from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
+                               _bin_cells, _box_range, _merge_close_points,
+                               bin_weighted_intervals)
 
 
 def test_lebesgue_exact(lebesgue_unit):
@@ -203,10 +205,10 @@ def _weights(m):
 
 
 @st.composite
-def _refinement_systems(draw):
+def _refinement_systems(draw, kind=None):
     """1D systems of both signs, 2D rotating ones and the golden Bernoulli
     system, whose overlaps make histogram() merge words."""
-    kind = draw(st.sampled_from(["1d", "2d", "golden"]))
+    kind = kind or draw(st.sampled_from(["1d", "2d", "golden"]))
     if kind == "golden":
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         ifs = HomogeneousIfs(1, Similarity(ratio=golden, sign=1), np.array([-1.0, 1.0]))
@@ -248,6 +250,214 @@ def test_adaptive_refinement_fixed_cases(sign, translations, p, n, extra_depth):
     every word settles before depth h and the deeper levels are empty."""
     ifs = HomogeneousIfs(1, Similarity(ratio=0.25, sign=sign), np.array(translations))
     _assert_matches_direct(ifs, np.array(p), n, extra_depth)
+
+
+# Oracles for the histogram layer's shortcuts: the merge that always sorts
+# and the binning of settled words by their enclosure ends, as they were
+# before the duplicate pre-check and the settled cells.
+
+
+def _sorting_merge(centers: np.ndarray, weights: np.ndarray, quantum: float):
+    if centers.shape[0] < 4096:
+        return centers, weights
+    scale = 1.0 / quantum
+    mx = float(np.max(np.abs(centers))) if centers.size else 0.0
+    if mx * scale >= 2.0 ** 62:
+        return centers, weights
+    keys = np.round(centers * scale).astype(np.int64)
+    order = (np.argsort(keys, kind="stable") if centers.ndim == 1
+             else np.lexsort((keys[:, 1], keys[:, 0])))
+    ks = keys[order]
+    change = ks[1:] != ks[:-1]
+    if centers.ndim == 2:
+        change = change.any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    if starts.size == centers.shape[0]:
+        return centers, weights
+    w_sorted = weights[order]
+    merged_w = np.add.reduceat(w_sorted, starts)
+    merged_c = centers[order[starts]]
+    return merged_c, merged_w
+
+
+def _ends_binning(e_lo, e_hi, w_lower, w_upper, n, k_min, k_max, eps):
+    scale = 2.0 ** n
+    contained = True
+    low, t_lo, t_hi = [], [], []
+    for lo, hi in zip(np.atleast_2d(e_lo.T), np.atleast_2d(e_hi.T)):
+        c_lo = np.floor((lo + eps) * scale).astype(np.int64)
+        contained = contained & (c_lo == np.floor((hi - eps) * scale).astype(np.int64))
+        low.append(c_lo)
+        t_lo.append(np.floor((lo - eps) * scale).astype(np.int64))
+        t_hi.append(np.floor((hi + eps) * scale).astype(np.int64))
+    return _bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
+                      t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max))
+
+
+def _ends_histogram(ifs, p, n, extra_depth):
+    """histogram() with the sorting merge and settled words binned by their
+    enclosure ends. Returns (indices, lower, upper)."""
+    h = dyadic_depth(ifs, n, extra_depth)
+    zs = np.atleast_1d(ifs.attractor_center).astype(float)
+    r0 = ifs.attractor_radius
+    coord_bound = float(np.max(np.abs(zs)) + r0)
+    eps = _EPS_BASE * max(1.0, coord_bound)
+    scale = 2.0 ** n
+    quantum = 2.0 ** -(n + _MERGE_GUARD_BITS)
+    e_lo, e_hi, ws = [], [], []
+
+    def merge_and_settle(depth, centers, weights):
+        centers, weights = _sorting_merge(centers, weights, quantum)
+        rho = ifs.map.ratio ** depth * r0
+        if depth < h and 2.0 * (rho + eps) * scale >= 1.0:
+            return centers, weights
+        c = centers + ifs.apply_power(depth, zs)
+        lo, hi = c - rho, c + rho
+        if depth < h:
+            one_cell = np.floor((lo - eps) * scale) == np.floor((hi + eps) * scale)
+            done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
+        else:
+            done = np.ones(centers.shape[0], dtype=bool)
+        e_lo.append(lo[done])
+        e_hi.append(hi[done])
+        ws.append(weights[done])
+        return centers[~done], weights[~done]
+
+    cylinder_words(ifs, p, h, None, merge_and_settle)
+    k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))
+    weights = np.concatenate(ws)
+    return _ends_binning(np.concatenate(e_lo), np.concatenate(e_hi), weights,
+                         weights, n, k0, k1, eps)
+
+
+_CORNERS = np.array([[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3], [2 / 3, 2 / 3]])
+
+
+@st.composite
+def _oracle_systems(draw):
+    """1D systems of both signs, 2D rotating ones, the rotation-free
+    four-corner set, and two merging systems: the golden Bernoulli
+    convolution (1D) and its half-turn product (2D)."""
+    kind = draw(st.sampled_from(["1d", "2d", "four_corner", "golden", "half_turn"]))
+    if kind == "half_turn":
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        return (HomogeneousIfs(2, Similarity(ratio=golden, alpha=0.5), corners),
+                draw(_weights(4)))
+    if kind == "four_corner":
+        return (HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.0), _CORNERS),
+                draw(_weights(4)))
+    return draw(_refinement_systems(kind))
+
+
+def _oracle_size_ok(ifs, n, extra_depth):
+    h = dyadic_depth(ifs, n, extra_depth)
+    if ifs.ratio > 0.5:  # merging keeps the overlapping systems' rows few
+        return (ifs.ambient_dim == 1 and n <= 11) or (ifs.ambient_dim == 2 and n <= 6)
+    return ifs.m ** h <= 2 ** 18
+
+
+@settings(max_examples=50, deadline=None)
+@given(system=_oracle_systems(), n=st.integers(3, 12), extra_depth=st.integers(0, 5))
+def test_histogram_bit_identical_to_oracles(system, n, extra_depth):
+    """The duplicate pre-check and the settled cells change no bit of the
+    indices, lower or upper masses."""
+    ifs, p = system
+    assume(_oracle_size_ok(ifs, n, extra_depth))
+    idx, lower, upper = _ends_histogram(ifs, p, n, extra_depth)
+    hist = histogram(ifs, p, n, extra_depth=extra_depth)
+    assert np.array_equal(hist.indices, idx)
+    assert np.array_equal(hist.lower, lower)
+    assert np.array_equal(hist.upper, upper)
+
+
+@pytest.mark.parametrize("ifs,n,extra_depth", [
+    (HomogeneousIfs(1, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, sign=1),
+                    np.array([-1.0, 1.0])), 14, 4),
+    (HomogeneousIfs(2, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, alpha=0.5),
+                    np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])), 7, 1)],
+    ids=["golden-14", "half-turn-7"])
+def test_merging_histograms_bit_identical(ifs, n, extra_depth, monkeypatch):
+    """Deep levels of both merging systems, where most calls merge rows."""
+    merging = []
+
+    def counted(centers, weights, quantum):
+        out = _merge_close_points(centers, weights, quantum)
+        merging.append(out[0].shape[0] < centers.shape[0])
+        return out
+
+    # selfsim.histogram is the function; the module is reached by name.
+    monkeypatch.setattr(importlib.import_module("selfsim.histogram"),
+                        "_merge_close_points", counted)
+    p = uniform_weights(ifs.m)
+    idx, lower, upper = _ends_histogram(ifs, p, n, extra_depth)
+    hist = histogram(ifs, p, n, extra_depth=extra_depth)
+    assert sum(merging) >= 3
+    assert np.array_equal(hist.indices, idx)
+    assert np.array_equal(hist.lower, lower)
+    assert np.array_equal(hist.upper, upper)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+       rows=st.integers(4096, 9000), distinct=st.integers(2, 20000))
+def test_merge_matches_sorting_merge(seed, dim, rows, distinct):
+    """Rows drawn from a small set of points (plus sub-quantum noise) merge
+    exactly as the merge that always sorts does, and inputs without
+    duplicates come back as the same objects."""
+    rng = np.random.default_rng(seed)
+    quantum = 2.0 ** -30
+    shape = (rows,) if dim == 1 else (rows, 2)
+    centers = rng.integers(-distinct, distinct, size=shape) * 2.0 ** -10
+    centers += rng.uniform(-0.25, 0.25, size=shape) * quantum
+    weights = rng.uniform(0.1, 1.0, size=rows)
+    got_c, got_w = _merge_close_points(centers, weights, quantum)
+    want_c, want_w = _sorting_merge(centers, weights, quantum)
+    assert np.array_equal(got_c, want_c)
+    assert np.array_equal(got_w, want_w)
+    if want_c.shape[0] == rows:
+        assert got_c is centers and got_w is weights
+
+
+def test_merge_returns_inputs_without_duplicates():
+    rng = np.random.default_rng(5)
+    for shape in ((5000,), (5000, 2)):
+        centers = rng.permutation(np.arange(int(np.prod(shape)))).reshape(shape) * 1e-3
+        weights = rng.uniform(size=5000)
+        got_c, got_w = _merge_close_points(centers, weights, 2.0 ** -30)
+        assert got_c is centers and got_w is weights
+
+
+def _colliding_pair():
+    """Distinct 2D integer keys (0, 0) and (d, -r) with d * _PAIR_HASH = r
+    mod 2^64: both hash to 0. Both are exact floats below 2^61."""
+    for j in range(1, 1 << 16):
+        d = j << 11
+        r = (d * _PAIR_HASH) % 2 ** 64
+        r -= 2 ** 64 if r >= 2 ** 63 else 0
+        if abs(r) < 2 ** 61:
+            return d, -r
+    raise AssertionError("no colliding pair found")
+
+
+@pytest.mark.parametrize("with_duplicate", [False, True])
+def test_merge_hash_collision_falls_through(with_duplicate):
+    """Distinct key pairs sharing a hash take the exact path, which merges
+    only true duplicates."""
+    d, y = _colliding_pair()
+    rows = np.stack([np.arange(1, 4999, dtype=float),
+                     np.arange(1, 4999, dtype=float) * 3.0], axis=1)
+    extra = [[0.0, 0.0], [float(d), float(y)]] + ([[5.0, 15.0]] if with_duplicate else [])
+    centers = np.concatenate((rows, np.array(extra)))
+    keys = centers.astype(np.int64)
+    hashed = keys[:, 0].view(np.uint64) * np.uint64(_PAIR_HASH) + keys[:, 1].view(np.uint64)
+    assert np.unique(hashed).size < np.unique(keys, axis=0).size
+    weights = np.linspace(0.1, 1.0, centers.shape[0])
+    got_c, got_w = _merge_close_points(centers, weights, 1.0)
+    want_c, want_w = _sorting_merge(centers, weights, 1.0)
+    assert np.array_equal(got_c, want_c)
+    assert np.array_equal(got_w, want_w)
+    assert got_c.shape[0] == centers.shape[0] - with_duplicate
 
 
 def test_budget_bounds_live_words():

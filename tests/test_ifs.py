@@ -17,6 +17,7 @@ from selfsim import (BudgetError, HomogeneousIfs, InvalidWordError, Similarity,
                      similarity_dimension, uniform_weights, unrank_word)
 from selfsim import ifs as ifs_module
 from selfsim.histogram import _merge_close_points
+from selfsim.ifs import _grid_windows
 
 
 def test_similarity_validation():
@@ -221,7 +222,8 @@ def _brute_force_overlap(ifs, depth):
 
 
 @pytest.mark.parametrize("name,depth", [("golden", 8), ("rotating_overlap", 5),
-                                        ("rotating_four_corner", 3)])
+                                        ("rotating_four_corner", 3),
+                                        ("four_corner", 4), ("four_corner_overlap", 4)])
 def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
                                         monkeypatch):
     if name == "golden":
@@ -229,6 +231,13 @@ def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
     elif name == "rotating_overlap":
         ifs = HomogeneousIfs(2, Similarity(ratio=0.6, alpha=0.1),
                              np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
+    elif name == "four_corner":
+        ifs = four_corner[0]
+    elif name == "four_corner_overlap":
+        # rotation-free, corners of the unit square at ratio 0.55: words
+        # under different first symbols meet across both axes
+        ifs = HomogeneousIfs(2, Similarity(ratio=0.55, alpha=0.0),
+                             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     else:
         ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.25),
                              four_corner[0].translations)
@@ -248,6 +257,28 @@ def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
         (c1, _), (c2, _) = balls[w1], balls[w2]
         rho = ifs.map.ratio ** depth * ifs.attractor_radius
         assert np.linalg.norm(np.atleast_1d(c1 - c2)) <= 2 * rho + 1e-12
+
+
+def test_separation_window_is_local(four_corner):
+    """At depth 8 on the four-corner set, the grid window offers each word a
+    few nearby words and none across groups; an x-only strip offers 128
+    across the groups that share an x range."""
+    ifs = four_corner[0]
+    depth = 8
+    centers = cylinder_words(ifs, uniform_weights(4), depth)[0]
+    centers += ifs.apply_power(depth, ifs.attractor_center)
+    gap = 2.0 * ifs.ratio ** depth * ifs.attractor_radius
+    size = centers.shape[0] // 4
+    blocks = [centers[j * size:(j + 1) * size] for j in range(4)]
+    # a block against itself: every word's own neighbourhood
+    assert _grid_windows(blocks[0], blocks[0], gap)[2].sum() <= 4 * size
+    for j, j2 in itertools.combinations(range(4), 2):
+        assert _grid_windows(blocks[j], blocks[j2], gap)[2].sum() == 0
+    xs = np.sort(blocks[2][:, 0])
+    strip = (np.searchsorted(xs, blocks[0][:, 0] + gap, "right")
+             - np.searchsorted(xs, blocks[0][:, 0] - gap, "left"))
+    assert strip.sum() == 128 * size
+    assert check_strong_separation(ifs, depth).separated
 
 
 @pytest.mark.parametrize("name,depth", [("cantor", 16), ("golden", 18)])
