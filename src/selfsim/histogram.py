@@ -17,6 +17,18 @@ other; the cells and the sandwich equal those of expanding every word to
 depth h, up to the order of float summation. Only words whose enclosure
 meets a cell boundary keep growing, so the cost follows the number of
 such boundary words rather than m^h.
+
+A settled word carries its integer cell floor((lo - eps) 2^n) =
+floor((hi + eps) 2^n) to binning, not its enclosure ends: floor is
+monotone, so the inward floors of the ends name the same cell and the
+word adds its weight to both masses there. Settled cells come ahead of the
+depth-h words in every sum, the order in which binning all ends would add
+them, so the masses are bit for bit the same.
+
+Words of overlapping systems whose partial sums round to one multiple of
+2^-(n+40) are merged after each level. Most levels (all of them for separated
+systems) have no two such words, and an unstable sort with a neighbour
+check finds that before the stable sort that groups them is paid for.
 """
 
 from __future__ import annotations
@@ -192,69 +204,82 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
     w_lower feeds the lower mass of the cell containing an enclosure on
     every axis, w_upper the upper mass of every cell it touches.
 
-    settled, shape (S,) or (S, d), holds the integer cells of enclosures
-    already known to lie in one cell, with their weights in settled_w; each
-    adds its weight to the lower and upper mass of its cell. They come
-    ahead of the enclosures in every sum, so the masses are those of
-    binning their ends first. Returns (indices, lower, upper) with absolute
-    cell indices.
+    settled, shape (S,) or (S, d), holds the absolute cells of enclosures
+    already known to lie in one cell (histogram() finds them while it
+    settles words), with their weights in settled_w; it is overwritten.
+    Each adds its weight to the lower and upper mass of its cell, ahead of
+    the enclosures in every sum, so the masses are bit for bit those of
+    binning the settled enclosures' ends first. Returns (indices, lower,
+    upper) with absolute cell indices.
     """
     scale = 2.0 ** n
+
+    def cell(x, shift):
+        """floor((x + shift) 2^n) as int64, with one float temporary."""
+        t = x + shift
+        t *= scale
+        return np.floor(t, out=t).astype(np.int64)
+
     contained = True
     low, t_lo, t_hi = [], [], []
     # Rows of the transposed (1, K) or (d, K) views are per-axis coordinates.
     for lo, hi in zip(np.atleast_2d(e_lo.T), np.atleast_2d(e_hi.T)):
-        c_lo = np.floor((lo + eps) * scale).astype(np.int64)
-        contained = contained & (c_lo == np.floor((hi - eps) * scale).astype(np.int64))
+        c_lo = cell(lo, eps)
+        contained = contained & (c_lo == cell(hi, -eps))
         low.append(c_lo)
-        t_lo.append(np.floor((lo - eps) * scale).astype(np.int64))
-        t_hi.append(np.floor((hi + eps) * scale).astype(np.int64))
-    low = [c[contained] for c in low]
-    w_lower = w_lower[contained]
-    if settled is not None:
-        axes = np.atleast_2d(settled.T)
-        low, t_lo, t_hi = ([np.concatenate(pair) for pair in zip(axes, cells)]
-                           for cells in (low, t_lo, t_hi))
-        w_lower = np.concatenate((settled_w, w_lower))
-        w_upper = np.concatenate((settled_w, w_upper))
-    return _bin_cells(low, w_lower, t_lo, t_hi, w_upper,
-                      np.atleast_1d(k_min), np.atleast_1d(k_max))
+        t_lo.append(cell(lo, -eps))
+        t_hi.append(cell(hi, eps))
+    return _bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
+                      t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max),
+                      settled, settled_w)
 
 
 def _bin_cells(low_cells: list, low_w: np.ndarray, t_lo: list, t_hi: list,
-               w_upper: np.ndarray, k_min, k_max):
+               w_upper: np.ndarray, k_min, k_max, settled: np.ndarray | None = None,
+               settled_w: np.ndarray | None = None):
     """Sum masses already assigned to integer cells, clipped to [k_min, k_max].
 
     Cells come per axis, one integer array per axis in low_cells, t_lo and
     t_hi, with one bound per axis in k_min and k_max. low_w lands in the
     cell low_cells; w_upper lands in every cell of the box [t_lo, t_hi].
-    The cell arrays are overwritten (clipped to the box, low_cells also
-    shifted to start at 0), so callers pass arrays they own. Returns
+    settled, shape (S,) or (S, d), adds settled_w to both masses of its
+    cells, ahead of every other term of both sums. The cell arrays are
+    overwritten (clipped to the box and shifted to start at 0, t_hi then
+    turned into widths), so callers pass arrays they own. Returns
     (indices, lower, upper) over the cells with positive upper mass;
     indices are flat in 1D and (K, d) otherwise.
     """
     spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
-    for arr, k0, k1 in zip(low_cells, k_min, k_max):
-        np.clip(arr, k0, k1, out=arr)
-        arr -= k0
-    for cells in (t_lo, t_hi):
+    for cells in (low_cells, t_lo, t_hi):
         for arr, k0, k1 in zip(cells, k_min, k_max):
             np.clip(arr, k0, k1, out=arr)
-
-    widths = [hi - lo for lo, hi in zip(t_lo, t_hi)]
-    up_cells, up_w = [np.empty(0, np.int64)], [np.empty(0)]
+            arr -= k0
+    low_code = _flat_code(low_cells, spans)
+    # Offset 0 on every axis takes every row; the others a masked subset.
+    up_cells, up_w = [_flat_code(t_lo, spans)], [w_upper]
+    if settled is not None:
+        np.clip(settled, k_min, k_max, out=settled)
+        settled -= k_min
+        code = _flat_code(list(np.atleast_2d(settled.T)), spans)
+        low_code, low_w = np.concatenate((code, low_code)), np.concatenate((settled_w, low_w))
+        up_cells.insert(0, code)
+        up_w.insert(0, settled_w)
+    widths = t_hi
+    for lo, hi in zip(t_lo, widths):
+        hi -= lo
     for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
                                     for w in widths)):
+        if not any(offs):
+            continue
         mask = widths[0] >= offs[0]
         for w, off in zip(widths[1:], offs[1:]):
             mask &= w >= off
-        up_cells.append(_flat_code(
-            [lo[mask] + off - k0 for lo, off, k0 in zip(t_lo, offs, k_min)], spans))
+        up_cells.append(_flat_code([lo[mask] + off for lo, off in zip(t_lo, offs)], spans))
         up_w.append(w_upper[mask])
     up_cells, up_w = np.concatenate(up_cells), np.concatenate(up_w)
 
     span = math.prod(spans)
-    lo_idx, lo_sum = _aggregate(_flat_code(low_cells, spans), low_w, span)
+    lo_idx, lo_sum = _aggregate(low_code, low_w, span)
     up_idx, up_sum = _aggregate(up_cells, up_w, span)
 
     if len(spans) == 1:
@@ -336,7 +361,8 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
         done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
         cells.append(lo[done].astype(np.int64))
         cell_w.append(weights[done])
-        return centers[~done], weights[~done]
+        keep = ~done
+        return centers[keep], weights[keep]
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
     c = centers + ifs.apply_power(h, zs)
