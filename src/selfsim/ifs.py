@@ -318,11 +318,12 @@ def check_strong_separation(ifs: HomogeneousIfs, depth: int,
 def _grid_windows(a: np.ndarray, b: np.ndarray, gap: float):
     """Candidate rows of b for each row of a, as ranges of a sorted order.
 
-    Both are bucketed on a grid whose side is the least power of two at
-    least reach, where reach exceeds gap by the rounding of the differences
-    (coarsened to at most 2^30 cells per axis so the codes fit in int64).
-    Dividing by a power of two is exact, so a pair within gap lies in the
-    same or adjacent cells on every axis. Rows of b are sorted by cell code
+    reach exceeds gap by the rounding of the differences, so a pair the
+    distance test accepts differs by at most reach on every axis. Both are
+    bucketed on a grid whose side is a power of two in (reach, 2 reach]
+    (coarser if needed, for at most 2^30 cells per axis, so the codes fit
+    in int64); dividing by it is exact, so such a pair lies in the same or
+    adjacent cells on every axis. Rows of b are sorted by cell code
     (x-major in 2D), so the cells next to a row of a form one range of the
     order in 1D and three, one per x column, in 2D. Returns (order, starts,
     counts): row i's candidates are order[starts[i, j]:starts[i, j] +
@@ -355,8 +356,9 @@ def _first_close_pair(a: np.ndarray, b: np.ndarray, gap: float):
     memory stays linear in the rows.
     """
     order, lo, counts = _grid_windows(a, b, gap)
-    ends = np.cumsum(counts.sum(axis=1))
-    firsts = ends - counts.sum(axis=1)
+    per_row = counts.sum(axis=1)
+    ends = np.cumsum(per_row)
+    firsts = ends - per_row
     start = 0
     while start < a.shape[0]:
         stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + _PAIR_CHUNK, "right")))
