@@ -14,7 +14,8 @@ from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      SpecError, cylinder_words, dyadic_depth, entropy_sum,
                      histogram, moment_sums, uniform_weights)
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
-                               _bin_cells, _box_range, _merge_close_points,
+                               _aggregate, _box_range, _flat_code,
+                               _merge_close_points, _place_lower,
                                bin_weighted_intervals)
 
 
@@ -254,7 +255,8 @@ def test_adaptive_refinement_fixed_cases(sign, translations, p, n, extra_depth):
 
 # Oracles for the histogram layer's shortcuts: the merge that always sorts
 # and the binning of settled words by their enclosure ends, as they were
-# before the duplicate pre-check and the settled cells.
+# before the duplicate pre-check and the settled cells (cell sums through
+# _aggregate and _place_lower, which are unchanged).
 
 
 def _sorting_merge(centers: np.ndarray, weights: np.ndarray, quantum: float):
@@ -290,8 +292,42 @@ def _ends_binning(e_lo, e_hi, w_lower, w_upper, n, k_min, k_max, eps):
         low.append(c_lo)
         t_lo.append(np.floor((lo - eps) * scale).astype(np.int64))
         t_hi.append(np.floor((hi + eps) * scale).astype(np.int64))
-    return _bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
-                      t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max))
+    return _ends_bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
+                           t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max))
+
+
+def _ends_bin_cells(low_cells, low_w, t_lo, t_hi, w_upper, k_min, k_max):
+    spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
+    for arr, k0, k1 in zip(low_cells, k_min, k_max):
+        np.clip(arr, k0, k1, out=arr)
+        arr -= k0
+    for cells in (t_lo, t_hi):
+        for arr, k0, k1 in zip(cells, k_min, k_max):
+            np.clip(arr, k0, k1, out=arr)
+
+    widths = [hi - lo for lo, hi in zip(t_lo, t_hi)]
+    up_cells, up_w = [np.empty(0, np.int64)], [np.empty(0)]
+    for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
+                                    for w in widths)):
+        mask = widths[0] >= offs[0]
+        for w, off in zip(widths[1:], offs[1:]):
+            mask &= w >= off
+        up_cells.append(_flat_code(
+            [lo[mask] + off - k0 for lo, off, k0 in zip(t_lo, offs, k_min)], spans))
+        up_w.append(w_upper[mask])
+    up_cells, up_w = np.concatenate(up_cells), np.concatenate(up_w)
+
+    span = math.prod(spans)
+    lo_idx, lo_sum = _aggregate(_flat_code(low_cells, spans), low_w, span)
+    up_idx, up_sum = _aggregate(up_cells, up_w, span)
+
+    if len(spans) == 1:
+        indices = up_idx + k_min[0]
+    else:
+        indices = np.stack(np.unravel_index(up_idx, spans), axis=1) + np.asarray(k_min)
+    upper = np.minimum(up_sum, 1.0)
+    lower = _place_lower(up_idx, lo_idx, lo_sum)
+    return indices, lower, upper
 
 
 def _ends_histogram(ifs, p, n, extra_depth):
