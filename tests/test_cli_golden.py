@@ -1,11 +1,15 @@
-"""Frozen CSV bytes of the histogram and check subcommands.
+"""Frozen CSV bytes of the histogram, check, fourier and scan subcommands.
 
-Each file under tests/golden/ is the exact output of one command below.
+Each file under tests/golden/ is the exact output of one command below
+(fourier commands also write their band table to <name>_bands.csv).
 A refactor must leave these bytes alone; a change that moves them on
 purpose rewrites them with `python tests/test_cli_golden.py` and says why.
 
-fourier, dim and entropy are left out: their last digits come from
-numpy's vectorised exp and log2, which can differ between CPUs.
+dim and entropy are left out: their last digits come from numpy's
+vectorised log2, which can differ between CPUs. The fourier files depend
+on numpy's vectorised cos, sin and exp in the same way; they were written
+with numpy 2.4.6 on x86-64 and pin those bits for refactors of the
+transform, so another numpy build or CPU may need them rewritten.
 """
 
 import json
@@ -54,6 +58,12 @@ DOCS = {
                  "derive": {"kind": "product", "other": {
                      "ambient_dim": 1, "ratio": _G, "sign": -1,
                      "translations": [-1.0, 1.0]}}},
+    "sinc": {"ambient_dim": 1, "ratio": 0.5, "sign": 1,
+             "translations": [-1.0, 1.0], "label": "sinc"},
+    # The four-corner set turned by the golden fraction, seen along 1 rad.
+    "rotproj": {"ambient_dim": 2, "ratio": 1 / 3, "alpha": _G,
+                "translations": _CORNERS, "weights": [0.4, 0.3, 0.2, 0.1],
+                "derive": {"kind": "projection", "beta": 1.0}},
 }
 
 # name -> argv, with {doc} standing for the path of a document above.
@@ -88,6 +98,38 @@ COMMANDS = {
     "project_half_turn_golden_merging": ["project", "--ifs", "{halfturn}",
                                          "--beta", "1.0", "--n", "6",
                                          "--extra-depth", "2"],
+    "fourier_golden": ["fourier", "--ifs", "{golden}", "--bands", "8",
+                       "--samples-per-band", "48", "--tol", "1e-12",
+                       "--seed", "3"],
+    "fourier_sinc": ["fourier", "--ifs", "{sinc}", "--bands", "8",
+                     "--samples-per-band", "48", "--tol", "1e-12",
+                     "--seed", "5"],
+    "fourier_rotating": ["fourier", "--ifs", "{rotproj}", "--bands", "8",
+                         "--samples-per-band", "48", "--tol", "1e-12",
+                         "--seed", "2"],
+    "fourier_convolution": ["fourier", "--ifs", "{conv}", "--bands", "6",
+                            "--samples-per-band", "48", "--tol", "1e-10"],
+    "sweep_translations": ["sweep", "translations", "--vary", "lam",
+                           "--lo", "0.55", "--hi", "0.65", "--steps", "24",
+                           "--N", "24", "--c", "0.1", "--t-grid", "2048",
+                           "--jobs", "1"],
+    "sweep_translations_u": ["sweep", "translations", "--vary", "u",
+                             "--lo", "0.5", "--hi", "2.5", "--steps", "12",
+                             "--lam", "0.62", "--N", "20", "--t-grid", "1024",
+                             "--jobs", "1"],
+    "sweep_projections": ["sweep", "projections", "--vary", "theta",
+                          "--lo", "1.5", "--hi", "2.5", "--steps", "12",
+                          "--alpha", "1.0", "--beta", "0.3", "--N", "20",
+                          "--t-grid", "1024", "--jobs", "1"],
+    "sweep_convolutions": ["sweep", "convolutions", "--vary", "theta1",
+                           "--lo", "1.6", "--hi", "2.4", "--steps", "12",
+                           "--theta2", "3.0", "--u", "0.7", "--N", "20",
+                           "--t-grid", "1024", "--jobs", "1"],
+    "ekcount_translations": ["ekcount", "translations", "--theta",
+                             repr(1.0 / _G), "--N", "10", "--c", "0.1",
+                             "--delta", "0.25"],
+    "ekcount_convolutions": ["ekcount", "convolutions", "--theta1", "2.0",
+                             "--N", "16", "--c", "0.1", "--delta", "0.25"],
 }
 
 
@@ -101,9 +143,21 @@ def _write_docs(directory) -> dict:
     return paths
 
 
-def _run(name: str, paths: dict, out: str) -> int:
+def _outputs(name: str, directory: str) -> list:
+    """The files a command writes: <name>.csv, plus <name>_bands.csv for fourier."""
+    names = [f"{name}.csv"]
+    if COMMANDS[name][0] == "fourier":
+        names.append(f"{name}_bands.csv")
+    return [os.path.join(directory, n) for n in names]
+
+
+def _run(name: str, paths: dict, directory: str) -> int:
     argv = [a.format(**paths) for a in COMMANDS[name]]
-    return main(argv + ["-o", out])
+    outs = _outputs(name, directory)
+    argv += ["-o", outs[0]]
+    if len(outs) > 1:
+        argv += ["--band-out", outs[1]]
+    return main(argv)
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +167,14 @@ def doc_paths(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_bytes_match_golden(name, doc_paths, tmp_path):
-    out = str(tmp_path / f"{name}.csv")
-    assert _run(name, doc_paths, out) == 0
-    with open(out, "rb") as fh:
-        got = fh.read()
-    with open(os.path.join(GOLDEN_DIR, f"{name}.csv"), "rb") as fh:
-        want = fh.read()
-    assert got == want, f"{name}: CSV bytes moved"
+    assert _run(name, doc_paths, str(tmp_path)) == 0
+    for out, golden in zip(_outputs(name, str(tmp_path)),
+                           _outputs(name, GOLDEN_DIR)):
+        with open(out, "rb") as fh:
+            got = fh.read()
+        with open(golden, "rb") as fh:
+            want = fh.read()
+        assert got == want, f"{os.path.basename(golden)}: CSV bytes moved"
 
 
 if __name__ == "__main__":
@@ -130,6 +185,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         docs = _write_docs(tmp)
         for cmd in sorted(COMMANDS):
-            code = _run(cmd, docs, os.path.join(GOLDEN_DIR, f"{cmd}.csv"))
+            code = _run(cmd, docs, GOLDEN_DIR)
             if code != 0:
                 sys.exit(f"{cmd} exited {code}")
