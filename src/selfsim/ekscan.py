@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,14 +145,27 @@ def _conv_k_of_n(theta1: float, theta2: float, ns: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _good(t: np.ndarray, cols: list, c: float) -> np.ndarray:
-    """Mask of indices with |centered_frac(t_i col_j)| <= c in every column."""
-    good = None
-    for col in cols:
-        x = np.multiply.outer(t, col)
-        x -= np.rint(x)
+def _good(t: np.ndarray, cols: list, c: float, work=None) -> np.ndarray:
+    """Index-major mask: entry (j, i) says |centered_frac(col[j] t_i)| <= c
+    holds in every column.
+
+    work, when given, is (x, r, good, ok): two float and two bool buffers
+    of shape (N, k) with k >= t.size, which hold the intermediate values;
+    the returned mask is then a view of good, valid until the next call.
+    """
+    shape = (len(cols[0]), t.size)
+    if work is None:
+        work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+                np.empty(shape, dtype=bool))
+    x, r, good, ok = (w[:, :t.size] for w in work)
+    for j, col in enumerate(cols):
+        np.multiply.outer(col, t, out=x)
+        np.rint(x, out=r)
+        x -= r
         np.abs(x, out=x)
-        good = x <= c if good is None else good & (x <= c)
+        np.less_equal(x, c, out=ok if j else good)
+        if j:
+            good &= ok
     return good
 
 
@@ -192,11 +204,15 @@ def ek_badness(spec: EkSpec) -> EkReport:
     if cols[1] is not None and not (spec.kind == "translations"
                                     and abs(spec.u) == 1.0):
         masked.append(cols[1])
-    # Grid rows in chunks of about _GRID_CHUNK entries, which stay in cache.
-    step = max(1, _GRID_CHUNK // spec.N)
-    counts = np.concatenate([
-        np.count_nonzero(_good(t[i:i + step], masked, spec.c), axis=1)
-        for i in range(0, t.size, step)])
+    # Grid points in chunks of about _GRID_CHUNK entries, which stay in
+    # cache; each chunk is tested index-major, shape (N, chunk), in buffers
+    # shared by all chunks, and counted along the indices.
+    step = min(t.size, max(1, _GRID_CHUNK // spec.N))
+    work = [np.empty((spec.N, step), dtype=d) for d in (float, float, bool, bool)]
+    counts = np.empty(t.size, dtype=np.int64)
+    for i in range(0, t.size, step):
+        np.sum(_good(t[i:i + step], masked, spec.c, work), axis=0,
+               out=counts[i:i + step])
     gi = int(np.argmax(counts))
     witness = float(t[gi])
     eps = centered_frac(witness * cols[0])
@@ -204,7 +220,7 @@ def ek_badness(spec: EkSpec) -> EkReport:
              else np.zeros(spec.N))
     return EkReport(spec=spec, badness=counts[gi] / spec.N, witness_t=witness,
                     eps=eps, delta=delta,
-                    good=_good(t[gi:gi + 1], masked, spec.c)[0])
+                    good=_good(t[gi:gi + 1], masked, spec.c)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -225,12 +241,23 @@ def _relax(prev: np.ndarray, gap: np.ndarray, moves: list, slots: int,
 
     prev holds the parents' counts, one row per slot and one column per
     candidate. moves lists (source slot, destination slot, flag of the new
-    index, slack); a move is admissible where its source count is finite
-    and gap <= slack. Counts above max_bad become inf.
+    index, slack); a move is admissible where gap <= slack. Counts above
+    max_bad become inf.
+
+    Each distinct slack gives one floor row, inf where gap > slack and 0
+    elsewhere, and a move's counts are raised to it. An inadmissible move
+    or a parent at inf thus yields at least inf (at most inf + 1 = N + 2,
+    which int8 holds), never below a finite count, and the final clamp
+    turns every count above max_bad (< inf) into inf exactly.
     """
     out = np.full((slots, gap.size), inf, dtype=np.int8)
+    cand = np.empty(gap.size, dtype=np.int8)
+    floors = {}
     for src, dst, flag, slack in moves:
-        cand = np.where((prev[src] < inf) & (gap <= slack), prev[src] + flag, inf)
+        if slack not in floors:
+            floors[slack] = (gap > slack).view(np.int8) * np.int8(inf)
+        np.add(prev[src], flag, out=cand)
+        np.maximum(cand, floors[slack], out=cand)
         np.minimum(out[dst], cand, out=out[dst])
     out[out > max_bad] = inf
     return out
@@ -243,7 +270,8 @@ def _merge(keys: np.ndarray, bad: np.ndarray):
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
-    return keys[starts], np.minimum.reduceat(bad[:, order], starts, axis=1)
+    bad = np.take(bad, order, axis=1)
+    return keys[starts], np.minimum.reduceat(bad, starts, axis=1)
 
 
 def _charge(nodes: int, states: int, n: int) -> None:
@@ -283,11 +311,11 @@ def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
         rows = np.repeat(np.arange(start, stop), sizes[start:stop])
         values = (np.arange(first, int(ends[stop - 1]))
                   + np.repeat(offset[start:stop], sizes[start:stop]))
-        child = _relax(bad[:, rows], np.abs(values - centre[rows]), moves,
+        child = _relax(np.take(bad, rows, axis=1), np.abs(values - centre[rows]), moves,
                        slots, inf, max_bad)
         live = child.min(axis=0) < inf
         pending_keys.append(keys_of(rows[live], values[live]))
-        pending_bad.append(child[:, live])
+        pending_bad.append(np.compress(live, child, axis=1))
         pending += pending_keys[-1].size
         start = stop
         if pending >= max(keys.size, _CANDIDATE_CHUNK) or start == lo.size:
@@ -412,7 +440,8 @@ def _count_translations(theta: float, N: int, c: float, delta: float) -> list:
         k1 = (keys >> _PAIR_SHIFT) - _EXACT_SQUARE
         k2 = (keys & _PAIR_MASK) - _EXACT_SQUARE
         nonzero = k1 != 0
-        k1, k2, bad = k1[nonzero], k2[nonzero], bad[:, nonzero]
+        k1, k2 = k1[nonzero], k2[nonzero]
+        bad = np.compress(nonzero, bad, axis=1)
         k2f = k2.astype(float)
         keys, bad = _children(
             k2f * k2f / k1, wmax, bad, moves, 4, inf, max_bad,
@@ -493,6 +522,10 @@ def ek_sweep(kind: str, fixed: dict, vary: str, lo: float, hi: float,
         specs.append(EkSpec(kind=kind, N=N, c=c, t_grid=t_grid, **params))
     jobs = _clamp_jobs(jobs, len(specs))
     if jobs > 1:
+        # Imported here, not at module level: importing multiprocessing
+        # takes tens of milliseconds, and only parallel sweeps need it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_eval, specs, chunksize=8))
     else:

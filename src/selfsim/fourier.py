@@ -68,45 +68,106 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     xi_norm = np.abs(xi) if dim == 1 else np.hypot(xi[:, 0], xi[:, 1])
 
     r = ifs.map.ratio
-    scale = math.pi * max_norm(ifs.translations)
+    base = math.pi * max_norm(ifs.translations) * xi_norm / (1.0 - r)
     values = np.ones(xi.shape[0], dtype=complex)
-    bounds = np.empty(xi.shape[0])
-    groups: dict = {}
-    for i, norm in enumerate(xi_norm.tolist()):
-        base = scale * norm / (1.0 - r)
-        if base <= tol:
-            bounds[i] = base
-            continue
-        n_factors = math.ceil(math.log(tol / base) / math.log(r))
-        if n_factors > _MAX_FACTORS:
-            raise BudgetError(
-                f"{n_factors} product factors needed at ratio {r}, over the "
-                f"cap {_MAX_FACTORS}")
-        bounds[i] = base * r ** n_factors
-        groups.setdefault(n_factors, []).append(i)
+    bounds, n_factors = base.copy(), _factor_counts(base, r, tol)
 
     a = ifs.translations.astype(float)
-    for n_factors, rows in groups.items():
-        ns = np.arange(n_factors)
+    keep, src, sign = _shared_columns(a)
+    a_u = a[keep]
+    for n_count in np.unique(n_factors[n_factors > 0]).tolist():
+        rows = np.flatnonzero(n_factors == n_count)
+        bounds[rows] = base[rows] * r ** n_count
+        ns = np.arange(n_count)
         if dim == 1:
             lam_pows = ifs.lam ** ns
-            factor_phases = np.outer(lam_pows, a)
+            factor_phases = np.outer(lam_pows, a_u)
         else:
             ang = 2.0 * math.pi * ((ifs.map.alpha * ns) % 1.0)
             r_pows = r ** ns
             cos_a, sin_a = np.cos(ang)[:, None], np.sin(ang)[:, None]
-            rot_x = r_pows[:, None] * (cos_a * a[None, :, 0] - sin_a * a[None, :, 1])
-            rot_y = r_pows[:, None] * (sin_a * a[None, :, 0] + cos_a * a[None, :, 1])
-        step = max(1, _PHASE_CHUNK // (n_factors * ifs.m))
+            rot_x = r_pows[:, None] * (cos_a * a_u[None, :, 0] - sin_a * a_u[None, :, 1])
+            rot_y = r_pows[:, None] * (sin_a * a_u[None, :, 0] + cos_a * a_u[None, :, 1])
+        step = max(1, _PHASE_CHUNK // (n_count * ifs.m))
         for start in range(0, len(rows), step):
-            idx = np.array(rows[start:start + step])
+            idx = rows[start:start + step]
             if dim == 1:
                 phases = (math.pi * xi[idx])[:, None, None] * factor_phases
             else:
                 phases = math.pi * (rot_x * xi[idx, 0, None, None]
                                     + rot_y * xi[idx, 1, None, None])
-            values[idx] = np.prod(np.exp(1j * phases) @ p, axis=1)
+            cos, sin = np.cos(phases), np.sin(phases)
+            factors = np.empty(phases.shape[:2] + (ifs.m,), dtype=complex)
+            re, im = factors.real, factors.imag
+            for j, (k, g) in enumerate(zip(src, sign)):
+                if g == 0:
+                    factors[..., j] = 1.0
+                    continue
+                re[..., j] = cos[..., k]
+                if g > 0:
+                    im[..., j] = sin[..., k]
+                else:
+                    np.negative(sin[..., k], out=im[..., j])
+            values[idx] = np.prod(factors @ p, axis=1)
     return values, bounds
+
+
+def _factor_counts(base: np.ndarray, r: float, tol: float) -> np.ndarray:
+    """Factors ceil(log(tol / base) / log r) per sample; 0 where base <= tol.
+
+    Equal to the scalar math.log expression for every sample: np.log may
+    differ from math.log in the last bit, which can only move the ceiling
+    of a quotient within rounding of an integer, so those quotients are
+    recomputed by the scalar formula. The first sample over _MAX_FACTORS
+    (or whose count is not finite) goes through the scalar formula alone,
+    which raises as a sample-by-sample loop would.
+    """
+    active = np.flatnonzero(~(base <= tol))
+    log_r = math.log(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = np.log(tol / base[active]) / log_r
+        near = np.abs(quot - np.rint(quot)) <= 1e-9
+    for i in np.flatnonzero(near).tolist():
+        quot[i] = math.log(tol / float(base[active[i]])) / log_r
+    counts = np.ceil(quot)
+    over = ~(counts <= _MAX_FACTORS)
+    if over.any():
+        first = math.ceil(math.log(tol / float(base[active[np.argmax(over)]]))
+                          / log_r)
+        raise BudgetError(
+            f"{first} product factors needed at ratio {r}, over the "
+            f"cap {_MAX_FACTORS}")
+    n_factors = np.zeros(base.size, dtype=np.int64)
+    n_factors[active] = counts
+    return n_factors
+
+
+def _shared_columns(a: np.ndarray):
+    """Translations whose phases ft_batch evaluates, and how the rest reuse them.
+
+    Returns (keep, src, sign): translation j takes the cos of column
+    src[j] of a[keep] and sign[j] times its sin. keep holds the first
+    translation of each class a_j = +-a_k; equal or negated translations
+    give equal or negated phases bit for bit, and cos is even and sin odd.
+    sign[j] = 0 marks a zero translation, whose factor term is exactly 1.
+    """
+    flat = a.reshape(a.shape[0], -1)
+    keep, src, sign = [], [], []
+    for j, row in enumerate(flat):
+        if not row.any():
+            src.append(0)
+            sign.append(0)
+            continue
+        for i, k in enumerate(keep):
+            if np.array_equal(flat[k], row) or np.array_equal(flat[k], -row):
+                src.append(i)
+                sign.append(1 if np.array_equal(flat[k], row) else -1)
+                break
+        else:
+            src.append(len(keep))
+            sign.append(1)
+            keep.append(j)
+    return keep, src, sign
 
 
 @dataclass(frozen=True)

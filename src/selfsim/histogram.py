@@ -185,11 +185,27 @@ def _aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
         return nz, acc[nz]
     if cells.size == 0:
         return cells, weights
-    order = np.argsort(cells, kind="stable")
+    order = _stable_order(cells, span)
     cs = cells[order]
     ws = weights[order]
     starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
     return cs[starts], np.add.reduceat(ws, starts)
+
+
+def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
+    """np.argsort(codes, kind="stable") for int64 codes in [0, span).
+
+    Built by least-significant-digit passes over 16-bit digits: numpy
+    radix-sorts uint16 keys, and stable passes from the lowest digit up
+    leave equal codes in input order, which is the stable permutation.
+    """
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    shift = 16
+    while (span - 1) >> shift:
+        digit = (codes[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,

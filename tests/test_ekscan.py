@@ -1,5 +1,6 @@
 """Near-integer badness scans and admissible sequence counting."""
 
+import itertools
 import math
 import os
 import re
@@ -13,7 +14,7 @@ from selfsim import (BudgetError, EkSpec, PrecisionError, SpecError,
                      centered_frac, ek_badness, ek_count_sequences, ek_sweep)
 from selfsim import ekscan
 from selfsim.cli import main
-from selfsim.ekscan import _clamp_jobs, _first_frontier
+from selfsim.ekscan import _clamp_jobs, _first_frontier, _good, _relax
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The benchmark's exact counts (perfbench/workloads.py).
@@ -448,3 +449,165 @@ def test_sweep_single_step():
                     t_grid=128)
     assert len(rows) == 1
     assert rows[0][0] == pytest.approx(0.5)
+
+
+# The row-major grid test and the where-based relaxation that _good and
+# _relax replaced, kept as oracles.
+
+def _row_major_good(t, cols, c):
+    good = None
+    for col in cols:
+        x = np.multiply.outer(t, col)
+        x -= np.rint(x)
+        np.abs(x, out=x)
+        good = x <= c if good is None else good & (x <= c)
+    return good
+
+
+def _row_major_badness(spec):
+    """ek_badness with the grid tested row-major, shape (chunk, N)."""
+    ns = np.arange(1, spec.N + 1)
+    t = np.linspace(1.0, spec.t_upper, spec.t_grid)
+    if spec.kind == "translations":
+        pows = (1.0 / spec.lam) ** ns.astype(float)
+        cols = (pows, spec.u * pows)
+    elif spec.kind == "projections":
+        cols = (spec.theta ** ns.astype(float)
+                * np.cos(spec.beta + ns * spec.alpha), None)
+    else:
+        ks = ekscan._conv_k_of_n(spec.theta1, spec.theta2, ns)
+        cols = (spec.theta1 ** ns.astype(float),
+                spec.u * spec.theta2 ** ks.astype(float))
+    masked = [cols[0]]
+    if cols[1] is not None and not (spec.kind == "translations"
+                                    and abs(spec.u) == 1.0):
+        masked.append(cols[1])
+    step = max(1, ekscan._GRID_CHUNK // spec.N)
+    counts = np.concatenate([
+        np.count_nonzero(_row_major_good(t[i:i + step], masked, spec.c), axis=1)
+        for i in range(0, t.size, step)])
+    gi = int(np.argmax(counts))
+    witness = float(t[gi])
+    eps = centered_frac(witness * cols[0])
+    delta = (centered_frac(witness * cols[1]) if cols[1] is not None
+             else np.zeros(spec.N))
+    return (counts[gi] / spec.N, witness, eps, delta,
+            _row_major_good(t[gi:gi + 1], masked, spec.c)[0])
+
+
+def _old_relax(prev, gap, moves, slots, inf, max_bad):
+    out = np.full((slots, gap.size), inf, dtype=np.int8)
+    for src, dst, flag, slack in moves:
+        cand = np.where((prev[src] < inf) & (gap <= slack), prev[src] + flag, inf)
+        np.minimum(out[dst], cand, out=out[dst])
+    out[out > max_bad] = inf
+    return out
+
+
+@st.composite
+def _badness_specs(draw):
+    kind = draw(st.sampled_from(["translations", "projections", "convolutions"]))
+    N = draw(st.integers(3, 40))
+    c = draw(st.floats(0.01, 0.45))
+    t_grid = draw(st.integers(2, 700))
+    u = draw(st.sampled_from([1.0, -1.0]) | st.floats(-3.0, 3.0).filter(
+        lambda u: abs(u) > 0.05))
+    if kind == "translations":
+        return EkSpec(kind=kind, N=N, c=c, t_grid=t_grid, u=u,
+                      lam=draw(st.floats(0.45, 0.95)))
+    if kind == "projections":
+        return EkSpec(kind=kind, N=N, c=c, t_grid=t_grid,
+                      theta=draw(st.floats(1.05, 2.5)),
+                      alpha=draw(st.floats(0.1, 3.0)),
+                      beta=draw(st.floats(-1.0, 1.0)))
+    theta1 = draw(st.floats(1.05, 2.0))
+    return EkSpec(kind=kind, N=N, c=c, t_grid=t_grid, u=u, theta1=theta1,
+                  theta2=theta1 + draw(st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_badness_specs(), chunk=st.sampled_from([1 << 15, 97, 1]))
+def test_badness_matches_row_major_oracle(spec, chunk):
+    """The index-major grid in shared buffers gives the row-major report."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ekscan, "_GRID_CHUNK", chunk)
+        rep = ek_badness(spec)
+        badness, witness, eps, delta, good = _row_major_badness(spec)
+    assert (rep.badness, rep.witness_t) == (badness, witness)
+    assert np.array_equal(rep.eps, eps)
+    assert np.array_equal(rep.delta, delta)
+    assert np.array_equal(rep.good, good)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(3, 40), c=st.floats(0.01, 0.45), u=st.floats(-3.0, 3.0),
+       t_upper=st.floats(1.1, 3.0), size=st.integers(1, 300),
+       spare=st.integers(0, 50))
+def test_good_matches_row_major_oracle(N, c, u, t_upper, size, spare):
+    """Masks and counts, with fresh buffers and with wider shared ones; the
+    second threshold is a distance the grid attains exactly."""
+    ns = np.arange(1, N + 1, dtype=float)
+    t = np.linspace(1.0, t_upper, size)
+    cols = [1.6 ** ns, u * 1.7 ** ns, np.cos(ns) * 1.3 ** ns]
+    x = t[-1] * cols[0][-1]
+    for c, k in itertools.product((c, float(abs(x - np.rint(x)))), (1, 2, 3)):
+        want = _row_major_good(t, cols[:k], c)
+        work = [np.empty((N, size + spare), dtype=d)
+                for d in (float, float, bool, bool)]
+        for got in (_good(t, cols[:k], c), _good(t, cols[:k], c, work)):
+            assert np.array_equal(got, want.T)
+            assert np.array_equal(got.sum(axis=0), np.count_nonzero(want, axis=1))
+
+
+def _kind_moves(kind, theta, c, level):
+    """The move lists the counters pass to _relax, with their slot counts."""
+    w = (c, 0.5)
+    if kind == "convolutions":
+        return [(g, g2, g2, theta * w[g] + w[g2] + 1e-12)
+                for g2 in (0, 1) for g in (0, 1)], 2, 2
+    if level == 2:
+        return [(g1, g1 * 2 + g2, g2, theta * w[g1] + w[g2] + 1e-12)
+                for g2 in (0, 1) for g1 in (0, 1)], 2, 4
+    return [(g1 * 2 + g2, g2 * 2 + g3, g3,
+             theta * theta * w[g1] + 2 * theta * w[g2] + w[g3] + 1e-12)
+            for g3 in (0, 1) for g1 in (0, 1) for g2 in (0, 1)], 4, 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["translations", "convolutions"]),
+       level=st.sampled_from([2, 3]), theta=st.floats(1.0, 4.0, exclude_min=True),
+       c=st.floats(0.01, 0.49), N=st.integers(3, 22), size=st.integers(0, 400),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_relax_matches_old_relax(kind, level, theta, c, N, size, seed, data):
+    """Per-slack floors instead of per-move where/prev < inf tests: equal
+    int8 frontiers, parents at inf and gaps exactly at a slack included."""
+    moves, rows, slots = _kind_moves(kind, theta, c, level)
+    # Duplicate slacks: a second move list of equal slacks shares its floors.
+    moves = moves + [(src, dst, flag, moves[0][3]) for src, dst, flag, _ in moves[:2]]
+    inf = N + 1
+    max_bad = data.draw(st.integers(0, N))
+    rng = np.random.default_rng(seed)
+    prev = rng.integers(0, inf + 1, size=(rows, size)).astype(np.int8)
+    prev[:, rng.random(size) < 0.3] = inf
+    slacks = np.array([m[3] for m in moves])
+    gap = np.where(rng.random(size) < 0.2, rng.choice(slacks, size),
+                   rng.uniform(0.0, slacks.max() * 1.2, size))
+    got = _relax(prev, gap, moves, slots, inf, max_bad)
+    want = _old_relax(prev, gap, moves, slots, inf, max_bad)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["translations", "convolutions"]),
+       theta=st.floats(1.0, 3.0, exclude_min=True),
+       c=st.floats(0.02, 0.45), delta=st.floats(0.0, 1.0), data=st.data())
+def test_count_with_old_relax_unchanged(kind, theta, c, delta, data):
+    """Whole counts, with the old relaxation swapped in, are unchanged."""
+    N = data.draw(st.integers(3, 9 if kind == "translations" else 14))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ekscan, "_NODE_BUDGET", 20_000)
+        new = _outcome(kind, theta, N, c, delta, oracle=False)
+        mp.setattr(ekscan, "_relax", _old_relax)
+        old = _outcome(kind, theta, N, c, delta, oracle=False)
+    assert new == old

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim import (BudgetError, ConvolvedMeasure, HomogeneousIfs,
                      PrecisionError, ProjectedMeasure, SelfSimilarMeasure,
                      Similarity, SpecError, decay_fit, fourier, ft_eval,
                      uniform_weights)
-from selfsim.fourier import ft_batch
+from selfsim import transforms
+from selfsim.errors import BudgetError as _BudgetError
+from selfsim.fourier import _MAX_FACTORS, _factor_counts, ft_batch
+from selfsim.ifs import check_weights, max_norm
 
 GOLDEN_FLOOR = 0.006613493036060793
 
@@ -289,3 +294,199 @@ def test_batched_ft_against_mpmath(golden_bc):
                         for pj, aj in zip(p, ifs.translations))
                     n += 1
                 assert abs(complex(ref) - v) <= e + 1e-12
+
+
+# The complex-exp kernel ft_batch replaced, kept as an oracle: one
+# np.exp(1j * phases) per translation and a scalar loop over the samples
+# for factor counts and bounds.
+def _exp_ft_batch(ifs, p, xi, tol=1e-9):
+    p = check_weights(p, ifs.m)
+    dim = ifs.ambient_dim
+    xi = np.asarray(xi, dtype=float)
+    xi_norm = np.abs(xi) if dim == 1 else np.hypot(xi[:, 0], xi[:, 1])
+    r = ifs.map.ratio
+    scale = math.pi * max_norm(ifs.translations)
+    values = np.ones(xi.shape[0], dtype=complex)
+    bounds = np.empty(xi.shape[0])
+    groups = {}
+    for i, norm in enumerate(xi_norm.tolist()):
+        base = scale * norm / (1.0 - r)
+        if base <= tol:
+            bounds[i] = base
+            continue
+        n_factors = math.ceil(math.log(tol / base) / math.log(r))
+        if n_factors > fourier._MAX_FACTORS:
+            raise _BudgetError(
+                f"{n_factors} product factors needed at ratio {r}, over the "
+                f"cap {fourier._MAX_FACTORS}")
+        bounds[i] = base * r ** n_factors
+        groups.setdefault(n_factors, []).append(i)
+    a = ifs.translations.astype(float)
+    for n_factors, rows in groups.items():
+        ns = np.arange(n_factors)
+        if dim == 1:
+            factor_phases = np.outer(ifs.lam ** ns, a)
+        else:
+            ang = 2.0 * math.pi * ((ifs.map.alpha * ns) % 1.0)
+            r_pows = r ** ns
+            cos_a, sin_a = np.cos(ang)[:, None], np.sin(ang)[:, None]
+            rot_x = r_pows[:, None] * (cos_a * a[None, :, 0] - sin_a * a[None, :, 1])
+            rot_y = r_pows[:, None] * (sin_a * a[None, :, 0] + cos_a * a[None, :, 1])
+        step = max(1, fourier._PHASE_CHUNK // (n_factors * ifs.m))
+        for start in range(0, len(rows), step):
+            idx = np.array(rows[start:start + step])
+            if dim == 1:
+                phases = (math.pi * xi[idx])[:, None, None] * factor_phases
+            else:
+                phases = math.pi * (rot_x * xi[idx, 0, None, None]
+                                    + rot_y * xi[idx, 1, None, None])
+            values[idx] = np.prod(np.exp(1j * phases) @ p, axis=1)
+    return values, bounds
+
+
+_COORD = st.sampled_from([0.0, 0.25, -0.25, 0.5, 1.0, -1.0, 2 / 3, -2 / 3]) | \
+    st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _oracle_systems(draw):
+    """1D systems of both signs and 2D rotating ones, whose translations
+    include zero, negated and repeated entries (the (0, 0) corner in 2D)."""
+    dim = draw(st.sampled_from([1, 2]))
+    ratio = draw(st.floats(0.2, 0.8))
+    shape = (1,) if dim == 1 else (2,)
+    pool = [np.array(draw(st.lists(_COORD, min_size=shape[0],
+                                   max_size=shape[0])))
+            for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(draw(st.integers(2, 5))):
+        row = pool[draw(st.integers(0, len(pool) - 1))]
+        rows.append(draw(st.sampled_from([row, -row, 0.0 * row])))
+    a = np.array(rows)
+    if np.all(a == a[0]):
+        a[-1] += 1.0
+    if dim == 1:
+        sim = Similarity(ratio=ratio, sign=draw(st.sampled_from([-1, 1])))
+        a = a[:, 0]
+    else:
+        sim = Similarity(ratio=ratio, alpha=draw(st.floats(0.0, 0.99)))
+    m = a.shape[0]
+    p = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+    return HomogeneousIfs(dim, sim, a), p / p.sum()
+
+
+def _oracle_frequencies(ifs, tol, seed):
+    """Frequencies of both signs over seven decades, plus ones whose factor
+    quotient log(tol / base) / log r lies at an integer (where np.log and
+    math.log can disagree) and ones within tol."""
+    rng = np.random.default_rng(seed)
+    r = ifs.map.ratio
+    scale = math.pi * max_norm(ifs.translations) / (1.0 - r)
+    norms = np.concatenate((
+        10.0 ** rng.uniform(-2.0, 5.0, size=60),
+        [tol / r ** k / scale for k in range(1, 60, 3)],
+        [0.0, 0.5 * tol / scale]))
+    norms *= np.where(rng.random(norms.size) < 0.3, -1.0, 1.0)
+    if ifs.ambient_dim == 1:
+        return norms
+    ang = rng.uniform(0.0, 2.0 * math.pi, size=norms.size)
+    return np.stack((norms * np.cos(ang), norms * np.sin(ang)), axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_oracle_systems(), tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]),
+       seed=st.integers(0, 1000), chunk=st.sampled_from([1 << 20, 40]))
+def test_ft_batch_matches_exp_oracle(system, tol, seed, chunk):
+    """Shared cos/sin columns and array factor counts change no value or bound."""
+    ifs, p = system
+    xi = _oracle_frequencies(ifs, tol, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "_PHASE_CHUNK", chunk)
+        values, bounds = ft_batch(ifs, p, xi, tol=tol)
+        want_values, want_bounds = _exp_ft_batch(ifs, p, xi, tol=tol)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(bounds, want_bounds)
+
+
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(-3.0, 3.0).filter(lambda u: abs(u) > 0.05),
+       tol=st.sampled_from([1e-9, 1e-12]), seed=st.integers(0, 1000),
+       pair=st.sampled_from([("golden", "neg"), ("c13", "zero"), ("zero", "golden")]))
+def test_convolution_ft_matches_exp_oracle(u, tol, seed, pair):
+    """Convolution documents: both factor transforms through either kernel."""
+    systems = {
+        "golden": (HomogeneousIfs(1, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0,
+                                                sign=1), np.array([-1.0, 1.0])),
+                   uniform_weights(2)),
+        "neg": (HomogeneousIfs(1, Similarity(ratio=0.4, sign=-1),
+                               np.array([0.0, 0.6])), np.array([0.3, 0.7])),
+        "c13": (HomogeneousIfs(1, Similarity(ratio=1 / 3, sign=1),
+                               np.array([0.0, 2 / 3])), uniform_weights(2)),
+        "zero": (HomogeneousIfs(1, Similarity(ratio=0.45, sign=1),
+                                np.array([0.0, 1.0, -1.0, 1.0])),
+                 np.array([0.1, 0.2, 0.3, 0.4])),
+    }
+    conv = ConvolvedMeasure(SelfSimilarMeasure(*systems[pair[0]]),
+                            SelfSimilarMeasure(*systems[pair[1]]), u=u)
+    xi = _oracle_frequencies(systems[pair[0]][0], tol, seed)
+    values, bounds = conv.ft(xi, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "ft_batch", _exp_ft_batch)
+        want_values, want_bounds = conv.ft(xi, tol=tol)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(bounds, want_bounds)
+
+
+def test_factor_cap_names_first_offender(monkeypatch, cantor13):
+    """The BudgetError names the first sample over the cap, as the scalar
+    loop did, and frequencies that are not finite raise as they did."""
+    ifs, p = cantor13
+    monkeypatch.setattr(fourier, "_MAX_FACTORS", 30)
+    for xi in ([1.0, 1e9, 1e6, 1e12], [1e6, 1e9], [2.0, 1e300, 3e5]):
+        xi = np.array(xi)
+        with pytest.raises(BudgetError) as got:
+            ft_batch(ifs, p, xi, tol=1e-12)
+        with pytest.raises(BudgetError) as want:
+            _exp_ft_batch(ifs, p, xi, tol=1e-12)
+        assert str(got.value) == str(want.value)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ft_batch(ifs, p, np.array([1.0, bad]), tol=1e-9)
+        with pytest.raises(ValueError):
+            _exp_ft_batch(ifs, p, np.array([1.0, bad]), tol=1e-9)
+    assert fourier._MAX_FACTORS == 30 != _MAX_FACTORS
+
+
+# (base, ratio) pairs where np.log(tol / base) / log r lies one ulp above
+# the integer that math.log gives exactly (numpy 2.4.6 on x86-64, tol 1e-12),
+# so the ceiling of the vectorised quotient would count one factor more.
+_LOG_ULP_CASES = [
+    (0.0038300342666283027, 0.02528130899530231),
+    (0.0038300342666283027, 0.004019752695604785),
+    (3.021346804049241e-08, 0.1791842790283328),
+    (3.021346804049241e-08, 0.07584899930224916),
+    (3.021346804049241e-08, 0.032107005850903425),
+]
+
+
+@pytest.mark.parametrize("base,r", _LOG_ULP_CASES)
+def test_factor_counts_keep_scalar_log(base, r):
+    """Quotients at an integer are recomputed with math.log."""
+    tol = 1e-12
+    want = math.ceil(math.log(tol / base) / math.log(r))
+    bases = np.array([base, 0.5 * tol, base, 3.0 * base])
+    got = _factor_counts(bases, r, tol)
+    assert got.tolist() == [want, 0, want,
+                            math.ceil(math.log(tol / (3.0 * base)) / math.log(r))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.01, 0.99), tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]),
+       seed=st.integers(0, 1000))
+def test_factor_counts_match_scalar_formula(r, tol, seed):
+    rng = np.random.default_rng(seed)
+    bases = np.concatenate((10.0 ** rng.uniform(-16.0, 6.0, size=200),
+                            [tol / r ** k for k in range(1, 40)], [0.0, tol]))
+    want = [math.ceil(math.log(tol / b) / math.log(r)) if b > tol else 0
+            for b in bases.tolist()]
+    assert _factor_counts(bases, r, tol).tolist() == want

@@ -16,7 +16,7 @@ from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
                                _aggregate, _box_range, _flat_code,
                                _merge_close_points, _place_lower,
-                               bin_weighted_intervals)
+                               _stable_order, bin_weighted_intervals)
 
 
 def test_lebesgue_exact(lebesgue_unit):
@@ -575,3 +575,34 @@ def test_entropy_growth(cantor13):
         h_lo, h_up = entropy_sum(histogram(ifs, p, n))
         mids.append(0.5 * (h_lo + h_up))
     assert mids[0] < mids[1] < mids[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(span=st.sampled_from([1, 2, 1 << 16, (1 << 16) + 1, 2897 ** 2,
+                             (1 << 32) - 1, 1 << 32, (1 << 32) + 5,
+                             1 << 47, 1 << 62]) | st.integers(1, 1 << 62),
+       size=st.integers(0, 5000), distinct=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stable_order_is_stable_argsort(span, size, distinct, seed):
+    """The 16-bit digit passes give np.argsort(kind="stable")'s permutation,
+    with many equal codes, over spans past 2^32, and on empty input."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, span, size=distinct, dtype=np.int64)
+    pool[0] = span - 1
+    codes = rng.choice(pool, size=size)
+    assert np.array_equal(_stable_order(codes, span),
+                          np.argsort(codes, kind="stable"))
+
+
+def test_sparse_aggregate_keeps_sum_bits():
+    """Above the dense cap the sums are the stable-argsort reduceat sums."""
+    rng = np.random.default_rng(4)
+    span = 2897 ** 2
+    codes = rng.choice(rng.integers(0, span, size=3000), size=20000)
+    weights = rng.random(20000) * 10.0 ** rng.uniform(-12, 0, 20000)
+    order = np.argsort(codes, kind="stable")
+    cs, ws = codes[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+    idx, sums = _aggregate(codes, weights, span)
+    assert np.array_equal(idx, cs[starts])
+    assert sums.tobytes() == np.add.reduceat(ws, starts).tobytes()
