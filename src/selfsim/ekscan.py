@@ -145,18 +145,14 @@ def _conv_k_of_n(theta1: float, theta2: float, ns: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _good(t: np.ndarray, cols: list, c: float, work=None) -> np.ndarray:
-    """Index-major mask: entry (j, i) says |centered_frac(col[j] t_i)| <= c
-    holds in every column.
+def _good(t: np.ndarray, cols: list, c: float, work: list) -> np.ndarray:
+    """Index-major grid test: entry (n, i) is True where
+    |centered_frac(col[n] t[i])| <= c for every col in cols.
 
-    work, when given, is (x, r, good, ok): two float and two bool buffers
-    of shape (N, k) with k >= t.size, which hold the intermediate values;
-    the returned mask is then a view of good, valid until the next call.
+    work holds two float and two bool buffers of shape (N, k), k >= t.size,
+    shared by all calls of one scan; the mask returned is a view of the
+    first bool buffer, valid until the next call.
     """
-    shape = (len(cols[0]), t.size)
-    if work is None:
-        work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
-                np.empty(shape, dtype=bool))
     x, r, good, ok = (w[:, :t.size] for w in work)
     for j, col in enumerate(cols):
         np.multiply.outer(col, t, out=x)
@@ -173,7 +169,10 @@ def ek_badness(spec: EkSpec) -> EkReport:
     """Maximal good-index fraction over a uniform t-grid in [1, t_upper].
 
     The grid maximum never exceeds the true supremum over t, so reported
-    badness is a certified lower bound for it.
+    badness is a certified lower bound for it. The grid is tested in
+    chunks of about _GRID_CHUNK entries, index-major (N indices by the
+    chunk's grid points) in buffers allocated once per call, and the good
+    indices are counted per grid point along the index axis.
     """
     ns = np.arange(1, spec.N + 1)
     t = np.linspace(1.0, spec.t_upper, spec.t_grid)
@@ -204,9 +203,7 @@ def ek_badness(spec: EkSpec) -> EkReport:
     if cols[1] is not None and not (spec.kind == "translations"
                                     and abs(spec.u) == 1.0):
         masked.append(cols[1])
-    # Grid points in chunks of about _GRID_CHUNK entries, which stay in
-    # cache; each chunk is tested index-major, shape (N, chunk), in buffers
-    # shared by all chunks, and counted along the indices.
+    # Chunks of about _GRID_CHUNK entries stay in cache.
     step = min(t.size, max(1, _GRID_CHUNK // spec.N))
     work = [np.empty((spec.N, step), dtype=d) for d in (float, float, bool, bool)]
     counts = np.empty(t.size, dtype=np.int64)
@@ -220,7 +217,7 @@ def ek_badness(spec: EkSpec) -> EkReport:
              else np.zeros(spec.N))
     return EkReport(spec=spec, badness=counts[gi] / spec.N, witness_t=witness,
                     eps=eps, delta=delta,
-                    good=_good(t[gi:gi + 1], masked, spec.c)[:, 0])
+                    good=_good(t[gi:gi + 1], masked, spec.c, work)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -311,8 +308,8 @@ def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
         rows = np.repeat(np.arange(start, stop), sizes[start:stop])
         values = (np.arange(first, int(ends[stop - 1]))
                   + np.repeat(offset[start:stop], sizes[start:stop]))
-        child = _relax(np.take(bad, rows, axis=1), np.abs(values - centre[rows]), moves,
-                       slots, inf, max_bad)
+        child = _relax(np.take(bad, rows, axis=1),
+                       np.abs(values - centre[rows]), moves, slots, inf, max_bad)
         live = child.min(axis=0) < inf
         pending_keys.append(keys_of(rows[live], values[live]))
         pending_bad.append(np.compress(live, child, axis=1))

@@ -9,7 +9,14 @@ float rounding of the phases, which grows with |xi|.
 
 ft_batch evaluates many frequencies of one system with array operations,
 giving each sample the bits a call for that sample alone gives it;
-ft_eval is its batch of one.
+ft_eval is its batch of one. Each factor term exp(i phase) is assembled
+from real cos and sin, evaluated once per distinct phase column: a zero
+translation contributes 1, and a translation equal to or the negation of
+an earlier one reuses that column's cos and its sin or negated sin. On
+the numpy build this was written for, exp(1j y) equals (cos y, sin y)
+bit for bit, cos is even and sin odd, so the values keep the bits of one
+complex exp per translation; tests/test_fourier.py holds that kernel as
+the oracle.
 """
 
 from __future__ import annotations
@@ -49,11 +56,15 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
 
     xi has shape (S,) for 1D systems and (S, 2) for 2D systems. Returns
     the complex values and the truncation bounds, each of shape (S,).
-    Every sample gets its own factor count and bound, computed by the
-    scalar expressions, so any batch gives each sample the bits a batch of
-    one gives it. Samples sharing a factor count are evaluated together,
-    at most about _PHASE_CHUNK phase entries at a time; a sample that needs
-    more than _MAX_FACTORS factors raises BudgetError before any work.
+    Every sample gets its own factor count and bound, equal to the scalar
+    expressions (see _factor_counts), so any batch gives each sample the
+    bits a batch of one gives it. Samples sharing a factor count are
+    evaluated together, at most about _PHASE_CHUNK phase entries at a
+    time: cos and sin of each distinct phase column (see _shared_columns)
+    fill the complex factor terms, which are weighted by p and multiplied
+    along the factors. A sample that needs more than _MAX_FACTORS factors
+    raises BudgetError, naming the first such sample's count, before any
+    work.
     """
     p = check_weights(p, ifs.m)
     if tol <= 0.0:
@@ -154,19 +165,14 @@ def _shared_columns(a: np.ndarray):
     flat = a.reshape(a.shape[0], -1)
     keep, src, sign = [], [], []
     for j, row in enumerate(flat):
-        if not row.any():
-            src.append(0)
-            sign.append(0)
-            continue
-        for i, k in enumerate(keep):
-            if np.array_equal(flat[k], row) or np.array_equal(flat[k], -row):
-                src.append(i)
-                sign.append(1 if np.array_equal(flat[k], row) else -1)
-                break
-        else:
-            src.append(len(keep))
-            sign.append(1)
+        pair = (0, 0) if not row.any() else next(
+            ((i, g) for i, k in enumerate(keep) for g in (1, -1)
+             if np.array_equal(flat[k], g * row)), None)
+        if pair is None:
+            pair = (len(keep), 1)
             keep.append(j)
+        src.append(pair[0])
+        sign.append(pair[1])
     return keep, src, sign
 
 

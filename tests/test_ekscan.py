@@ -544,8 +544,8 @@ def test_badness_matches_row_major_oracle(spec, chunk):
        t_upper=st.floats(1.1, 3.0), size=st.integers(1, 300),
        spare=st.integers(0, 50))
 def test_good_matches_row_major_oracle(N, c, u, t_upper, size, spare):
-    """Masks and counts, with fresh buffers and with wider shared ones; the
-    second threshold is a distance the grid attains exactly."""
+    """Masks and counts, in buffers wider than the chunk; the second
+    threshold is a distance the grid attains exactly."""
     ns = np.arange(1, N + 1, dtype=float)
     t = np.linspace(1.0, t_upper, size)
     cols = [1.6 ** ns, u * 1.7 ** ns, np.cos(ns) * 1.3 ** ns]
@@ -554,9 +554,9 @@ def test_good_matches_row_major_oracle(N, c, u, t_upper, size, spare):
         want = _row_major_good(t, cols[:k], c)
         work = [np.empty((N, size + spare), dtype=d)
                 for d in (float, float, bool, bool)]
-        for got in (_good(t, cols[:k], c), _good(t, cols[:k], c, work)):
-            assert np.array_equal(got, want.T)
-            assert np.array_equal(got.sum(axis=0), np.count_nonzero(want, axis=1))
+        got = _good(t, cols[:k], c, work)
+        assert np.array_equal(got, want.T)
+        assert np.array_equal(got.sum(axis=0), np.count_nonzero(want, axis=1))
 
 
 def _kind_moves(kind, theta, c, level):
