@@ -145,17 +145,20 @@ def _conv_k_of_n(theta1: float, theta2: float, ns: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _good(t: np.ndarray, cols: list, c: float, work: list) -> np.ndarray:
+def _good(t: np.ndarray, grids: list, c: float, work: list) -> np.ndarray:
     """Index-major grid test: entry (n, i) is True where
-    |centered_frac(col[n] t[i])| <= c for every col in cols.
+    |centered_frac(col[n] t[i])| <= c for the column col of every grid.
 
-    work holds two float and two bool buffers of shape (N, k), k >= t.size,
-    shared by all calls of one scan; the mask returned is a view of the
-    first bool buffer, valid until the next call.
+    Each grid holds its column repeated across k >= t.size grid points,
+    shape (N, k), so every product is a contiguous row times t (numpy's
+    broadcast of a column against a row is several times slower). work
+    holds two float and two bool buffers of the same shape, shared by all
+    calls of one scan; the mask returned is a view of the first bool
+    buffer, valid until the next call.
     """
     x, r, good, ok = (w[:, :t.size] for w in work)
-    for j, col in enumerate(cols):
-        np.multiply.outer(col, t, out=x)
+    for j, grid in enumerate(grids):
+        np.multiply(grid[:, :t.size], t, out=x)
         np.rint(x, out=r)
         x -= r
         np.abs(x, out=x)
@@ -205,11 +208,13 @@ def ek_badness(spec: EkSpec) -> EkReport:
         masked.append(cols[1])
     # Chunks of about _GRID_CHUNK entries stay in cache.
     step = min(t.size, max(1, _GRID_CHUNK // spec.N))
+    grids = [np.repeat(col[:, None], step, axis=1) for col in masked]
     work = [np.empty((spec.N, step), dtype=d) for d in (float, float, bool, bool)]
-    counts = np.empty(t.size, dtype=np.int64)
+    counts = np.empty(t.size, dtype=np.int32)
     for i in range(0, t.size, step):
-        np.sum(_good(t[i:i + step], masked, spec.c, work), axis=0,
-               out=counts[i:i + step])
+        good = _good(t[i:i + step], grids, spec.c, work)
+        np.add.reduce(good.view(np.int8), axis=0, dtype=np.int32,
+                      out=counts[i:i + step])
     gi = int(np.argmax(counts))
     witness = float(t[gi])
     eps = centered_frac(witness * cols[0])
@@ -217,7 +222,7 @@ def ek_badness(spec: EkSpec) -> EkReport:
              else np.zeros(spec.N))
     return EkReport(spec=spec, badness=counts[gi] / spec.N, witness_t=witness,
                     eps=eps, delta=delta,
-                    good=_good(t[gi:gi + 1], masked, spec.c, work)[:, 0])
+                    good=_good(t[gi:gi + 1], grids, spec.c, work)[:, 0])
 
 
 @dataclass(frozen=True)

@@ -452,7 +452,8 @@ def test_sweep_single_step():
 
 
 # The row-major grid test and the where-based relaxation that _good and
-# _relax replaced, kept as oracles.
+# _relax replaced, kept as oracles (_reference_badness above tests the
+# whole grid row-major).
 
 def _row_major_good(t, cols, c):
     good = None
@@ -462,37 +463,6 @@ def _row_major_good(t, cols, c):
         np.abs(x, out=x)
         good = x <= c if good is None else good & (x <= c)
     return good
-
-
-def _row_major_badness(spec):
-    """ek_badness with the grid tested row-major, shape (chunk, N)."""
-    ns = np.arange(1, spec.N + 1)
-    t = np.linspace(1.0, spec.t_upper, spec.t_grid)
-    if spec.kind == "translations":
-        pows = (1.0 / spec.lam) ** ns.astype(float)
-        cols = (pows, spec.u * pows)
-    elif spec.kind == "projections":
-        cols = (spec.theta ** ns.astype(float)
-                * np.cos(spec.beta + ns * spec.alpha), None)
-    else:
-        ks = ekscan._conv_k_of_n(spec.theta1, spec.theta2, ns)
-        cols = (spec.theta1 ** ns.astype(float),
-                spec.u * spec.theta2 ** ks.astype(float))
-    masked = [cols[0]]
-    if cols[1] is not None and not (spec.kind == "translations"
-                                    and abs(spec.u) == 1.0):
-        masked.append(cols[1])
-    step = max(1, ekscan._GRID_CHUNK // spec.N)
-    counts = np.concatenate([
-        np.count_nonzero(_row_major_good(t[i:i + step], masked, spec.c), axis=1)
-        for i in range(0, t.size, step)])
-    gi = int(np.argmax(counts))
-    witness = float(t[gi])
-    eps = centered_frac(witness * cols[0])
-    delta = (centered_frac(witness * cols[1]) if cols[1] is not None
-             else np.zeros(spec.N))
-    return (counts[gi] / spec.N, witness, eps, delta,
-            _row_major_good(t[gi:gi + 1], masked, spec.c)[0])
 
 
 def _old_relax(prev, gap, moves, slots, inf, max_bad):
@@ -528,14 +498,13 @@ def _badness_specs(draw):
 @settings(max_examples=80, deadline=None)
 @given(spec=_badness_specs(), chunk=st.sampled_from([1 << 15, 97, 1]))
 def test_badness_matches_row_major_oracle(spec, chunk):
-    """The index-major grid in shared buffers gives the row-major report."""
+    """The index-major grid in shared buffers gives the report of the
+    row-major full grid, in all three kinds and with |u| != 1."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ekscan, "_GRID_CHUNK", chunk)
         rep = ek_badness(spec)
-        badness, witness, eps, delta, good = _row_major_badness(spec)
+    badness, witness, good = _reference_badness(spec)
     assert (rep.badness, rep.witness_t) == (badness, witness)
-    assert np.array_equal(rep.eps, eps)
-    assert np.array_equal(rep.delta, delta)
     assert np.array_equal(rep.good, good)
 
 
@@ -552,9 +521,10 @@ def test_good_matches_row_major_oracle(N, c, u, t_upper, size, spare):
     x = t[-1] * cols[0][-1]
     for c, k in itertools.product((c, float(abs(x - np.rint(x)))), (1, 2, 3)):
         want = _row_major_good(t, cols[:k], c)
+        grids = [np.repeat(col[:, None], size + spare, axis=1) for col in cols[:k]]
         work = [np.empty((N, size + spare), dtype=d)
                 for d in (float, float, bool, bool)]
-        got = _good(t, cols[:k], c, work)
+        got = _good(t, grids, c, work)
         assert np.array_equal(got, want.T)
         assert np.array_equal(got.sum(axis=0), np.count_nonzero(want, axis=1))
 
