@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsim import (BudgetError, EkSpec, PrecisionError, SpecError,
@@ -502,7 +502,10 @@ def test_badness_matches_row_major_oracle(spec, chunk):
     row-major full grid, in all three kinds and with |u| != 1."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ekscan, "_GRID_CHUNK", chunk)
-        rep = ek_badness(spec)
+        try:
+            rep = ek_badness(spec)
+        except PrecisionError:
+            assume(False)  # the guard refuses before any grid test
     badness, witness, good = _reference_badness(spec)
     assert (rep.badness, rep.witness_t) == (badness, witness)
     assert np.array_equal(rep.good, good)
