@@ -109,6 +109,18 @@ COMMANDS = {
                          "--seed", "2"],
     "fourier_convolution": ["fourier", "--ifs", "{conv}", "--bands", "6",
                             "--samples-per-band", "48", "--tol", "1e-10"],
+    "fourier_band_ratio": ["fourier", "--ifs", "{golden}", "--bands", "6",
+                           "--band-ratio", "3", "--xi0", "2",
+                           "--samples-per-band", "32", "--tol", "1e-12",
+                           "--seed", "1"],
+    "ekscan_translations": ["ekscan", "translations", "--lam", "0.6",
+                            "--N", "24", "--c", "0.1", "--t-grid", "2048"],
+    "ekscan_projections": ["ekscan", "projections", "--theta", "1.8",
+                           "--alpha", "1.0", "--beta", "0.3", "--N", "20",
+                           "--t-grid", "1024"],
+    "ekscan_convolutions": ["ekscan", "convolutions", "--theta1", "2.0",
+                            "--theta2", "3.0", "--u", "0.7", "--N", "20",
+                            "--t-grid", "1024"],
     "sweep_translations": ["sweep", "translations", "--vary", "lam",
                            "--lo", "0.55", "--hi", "0.65", "--steps", "24",
                            "--N", "24", "--c", "0.1", "--t-grid", "2048",
