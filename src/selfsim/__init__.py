@@ -6,11 +6,10 @@ convolution and digit-split constructions, and exceptional-parameter
 scanning, with a CSV-emitting command line on top.
 """
 
-from .dimension import (AcDecision, ContinuityReport, DimEstimate,
-                        MomentTable, SubmultReport, ac_predicate,
-                        build_moment_table, check_submultiplicativity,
-                        closed_form_Dq, continuity_check_at_1, estimate_D1,
-                        estimate_Dq, table_from_histograms)
+from .dimension import (AcDecision, DimEstimate, MomentTable, SubmultReport,
+                        ac_predicate, build_moment_table,
+                        check_submultiplicativity, closed_form_Dq,
+                        estimate_D1, estimate_Dq, table_from_histograms)
 from .ekscan import (EkCountReport, EkReport, EkSpec, centered_frac,
                      ek_badness, ek_count_sequences, ek_sweep)
 from .errors import (BudgetError, InvalidWordError, PrecisionError,

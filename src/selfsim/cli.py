@@ -12,7 +12,6 @@ exceeded, 4 precision exhausted.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -24,8 +23,6 @@ from .fourier import decay_fit
 from .ifs import check_strong_separation, entropy, similarity_dimension
 from .transforms import (ConvolvedMeasure, SelfSimilarMeasure,
                          load_measure_spec, project_measure, skip_keep_measure)
-
-_JOBS_ENV = "SELFSIM_JOBS"
 
 
 def _fmt(x) -> str:
@@ -59,36 +56,19 @@ def _parse_levels(text: str):
     return lo, hi
 
 
-def _parse_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range must look like lo:hi:steps, got {text!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad range {text!r}") from exc
-    if steps < 1:
-        raise UsageError("range needs at least one step")
-    return lo, hi, steps
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(_JOBS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _histogram(measure, n: int, args):
+    """The level-n histogram; --guard is passed on where the subcommand has it."""
+    guard = {"guard": args.guard} if "guard" in args else {}
+    return measure.histogram(n, extra_depth=args.extra_depth,
+                             word_budget=args.budget, **guard)
 
 
 def _measure_levels(measure, n_min: int, n_max: int, args):
-    return [measure.histogram(n, extra_depth=args.extra_depth,
-                              guard=args.guard, word_budget=args.budget)
-            for n in range(n_min, n_max + 1)]
+    return [_histogram(measure, n, args) for n in range(n_min, n_max + 1)]
 
 
 def _emit_histogram(args, measure) -> None:
-    hist = measure.histogram(args.n, extra_depth=args.extra_depth,
-                             guard=args.guard, word_budget=args.budget)
+    hist = _histogram(measure, args.n, args)
     axes = [""] if hist.ambient_dim == 1 else ["_x", "_y"]
     header = ([f"cell_index{a}" for a in axes] + [f"cell_left{a}" for a in axes]
               + ["lower_mass", "upper_mass"])
@@ -135,10 +115,7 @@ def _cmd_entropy(args) -> None:
 
 def _cmd_fourier(args) -> None:
     measure = load_measure_spec(args.ifs)
-    xi_max = args.xi_max
-    if xi_max is None:
-        xi_max = args.xi0 * args.band_ratio ** args.bands
-    profile = decay_fit(measure, xi_max, args.bands,
+    profile = decay_fit(measure, args.bands,
                         samples_per_band=args.samples_per_band, tol=args.tol,
                         band_ratio=args.band_ratio, xi0=args.xi0,
                         seed=args.seed)
@@ -189,30 +166,14 @@ def _ek_fixed_params(args, kind: str, exclude: str | None = None) -> dict:
     return {k: v for k, v in params.items() if v is not None}
 
 
-_RANGE_FLAGS = (("lambda_range", "lam"), ("theta_range", "theta"),
-                ("theta1_range", "theta1"), ("u_range", "u"))
-
-
 def _cmd_ekscan(args) -> None:
-    ranges = [(getattr(args, flag), vary) for flag, vary in _RANGE_FLAGS
-              if getattr(args, flag) is not None]
-    if len(ranges) > 1:
-        raise UsageError("give at most one range flag")
-    header = ["parameter", "badness", "witness_t"]
-    if ranges:
-        text, vary = ranges[0]
-        lo, hi, steps = _parse_range(text)
-        fixed = _ek_fixed_params(args, args.kind, exclude=vary)
-        rows = ek_sweep(args.kind, fixed, vary, lo, hi, steps,
-                        args.N, args.c, t_grid=args.t_grid, jobs=args.jobs)
-        _emit(args.out, header, rows)
-        return
     spec = EkSpec(kind=args.kind, N=args.N, c=args.c, t_grid=args.t_grid,
                   **_ek_fixed_params(args, args.kind))
     rep = ek_badness(spec)
     primary = {"translations": spec.lam, "projections": spec.theta,
                "convolutions": spec.theta1}[args.kind]
-    _emit(args.out, header, [(primary, rep.badness, rep.witness_t)])
+    _emit(args.out, ["parameter", "badness", "witness_t"],
+          [(primary, rep.badness, rep.witness_t)])
 
 
 def _cmd_ekcount(args) -> None:
@@ -254,8 +215,7 @@ def _cmd_check(args) -> None:
         rows.append(("sim_dim", "info",
                      _fmt(similarity_dimension(ifs, p))))
         rows.append(("entropy", "info", _fmt(entropy(p))))
-    hist = measure.histogram(args.n, extra_depth=args.extra_depth,
-                             word_budget=args.budget)
+    hist = _histogram(measure, args.n, args)
     t_lo, t_up = hist.total_lower(), hist.total_upper()
     ok = (t_lo <= 1.0 + 1e-9) and (t_up >= 1.0 - 1e-9)
     rows.append(("sandwich", "pass" if ok else "fail",
@@ -268,14 +228,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sp, levels_default=None):
+def _add_common(sp, levels_default=None, guard=True):
     sp.add_argument("--ifs", required=True, help="measure document (JSON)")
     if levels_default is not None:
         sp.add_argument("--levels", default=levels_default,
                         help="dyadic level range, e.g. 6..20")
     sp.add_argument("--extra-depth", type=int, default=4)
-    sp.add_argument("--guard", type=int, default=4,
-                    help="extra levels for convolution factor histograms")
+    if guard:
+        sp.add_argument("--guard", type=int, default=argparse.SUPPRESS,
+                        help="extra levels for convolution factor histograms")
     sp.add_argument("--budget", type=int, default=None,
                     help="word budget override")
     sp.add_argument("-o", "--out", default=None, help="output CSV path")
@@ -292,7 +253,6 @@ def _add_ek_params(sp):
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--theta1", type=float, default=None)
     sp.add_argument("--theta2", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
     sp.add_argument("-o", "--out", default=None)
 
 
@@ -313,7 +273,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("fourier", help="transform sampling and decay fit")
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--bands", type=int, required=True)
-    sp.add_argument("--xi-max", type=float, default=None)
     sp.add_argument("--samples-per-band", type=int, default=64)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--band-ratio", type=float, default=2.0)
@@ -324,7 +283,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_fourier)
 
     sp = sub.add_parser("project", help="histogram of a projected measure")
-    _add_common(sp)
+    _add_common(sp, guard=False)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--n", type=int, default=10)
     sp.set_defaults(func=_cmd_project)
@@ -337,7 +296,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_convolve)
 
     sp = sub.add_parser("skipkeep", help="histogram of a digit-split factor")
-    _add_common(sp)
+    _add_common(sp, guard=False)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--part", choices=("skip", "keep"), default="skip")
     sp.add_argument("--n", type=int, default=10)
@@ -347,10 +306,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("kind", choices=("translations", "projections",
                                      "convolutions"))
     _add_ek_params(sp)
-    sp.add_argument("--lambda-range", default=None, metavar="LO:HI:STEPS")
-    sp.add_argument("--theta-range", default=None, metavar="LO:HI:STEPS")
-    sp.add_argument("--theta1-range", default=None, metavar="LO:HI:STEPS")
-    sp.add_argument("--u-range", default=None, metavar="LO:HI:STEPS")
     sp.set_defaults(func=_cmd_ekscan)
 
     sp = sub.add_parser("ekcount", help="admissible sequence counting")
@@ -372,6 +327,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--lo", type=float, required=True)
     sp.add_argument("--hi", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--jobs", type=int, default=1)
     _add_ek_params(sp)
     sp.set_defaults(func=_cmd_sweep)
 

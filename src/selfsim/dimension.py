@@ -247,41 +247,6 @@ def check_submultiplicativity(table: MomentTable, q: float,
 
 
 @dataclass(frozen=True)
-class ContinuityReport:
-    """D_q behaviour as q decreases to 1, against the entropy dimension."""
-
-    qs: tuple
-    points: tuple
-    d1_point: float
-    tol: float
-    below_d1: bool
-    monotone: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.below_d1 and self.monotone
-
-
-def continuity_check_at_1(ifs: HomogeneousIfs, p, q_list, n_min: int = 6,
-                          n_max: int = 14, extra_depth: int = 4,
-                          tol: float = 0.05) -> ContinuityReport:
-    """Check D_q <= D_1 and growth of D_q toward D_1 along descending q."""
-    qs = [float(q) for q in q_list]
-    if any(not (1.0 < q <= 2.0) for q in qs):
-        raise SpecError("q_list must lie in (1, 2]")
-    if any(b >= a for a, b in zip(qs, qs[1:])):
-        raise SpecError("q_list must be strictly decreasing toward 1")
-    table = build_moment_table(ifs, p, qs, n_min=n_min, n_max=n_max,
-                               extra_depth=extra_depth)
-    points = [estimate_Dq(table, q).point for q in qs]
-    d1 = estimate_D1(table).point
-    below = all(pt <= d1 + tol for pt in points)
-    mono = all(b >= a - tol for a, b in zip(points, points[1:]))
-    return ContinuityReport(qs=tuple(qs), points=tuple(points), d1_point=d1,
-                            tol=tol, below_d1=below, monotone=mono)
-
-
-@dataclass(frozen=True)
 class AcDecision:
     """Absolute-continuity prediction from dimension and decay estimates."""
 

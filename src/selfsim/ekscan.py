@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,6 +76,10 @@ class EkSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SpecError(f"{f.name} must be finite, got {value}")
         if self.N < 3:
             raise SpecError("N must be >= 3")
         if not (0.0 < self.c < 0.5):
@@ -294,9 +298,10 @@ def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
     (parent rows, new last terms) into int64 keys. Parents are expanded in
     slices of about _CANDIDATE_CHUNK candidates, and pending children are
     merged once they outnumber the merged ones. Below the last length the
-    children are nodes still to be expanded: every merge charges them on
-    top of nodes (None at the last length), so a level never grows far
-    beyond the budget before it raises.
+    children are nodes still to be expanded: they are also merged once
+    they could pass the budget room left, and every merge charges them on
+    top of nodes (None at the last length), so a level raises within one
+    slice of the budget.
     """
     lo = np.ceil(centre - half - 1e-12).astype(np.int64)
     hi = np.floor(centre + half + 1e-12).astype(np.int64)
@@ -320,7 +325,9 @@ def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
         pending_bad.append(np.compress(live, child, axis=1))
         pending += pending_keys[-1].size
         start = stop
-        if pending >= max(keys.size, _CANDIDATE_CHUNK) or start == lo.size:
+        if (pending >= max(keys.size, _CANDIDATE_CHUNK) or start == lo.size
+                or (nodes is not None
+                    and keys.size + pending > _NODE_BUDGET - nodes)):
             keys, merged = _merge(np.concatenate([keys] + pending_keys),
                                   np.concatenate([merged] + pending_bad, axis=1))
             pending_keys, pending_bad, pending = [], [], 0
@@ -473,12 +480,12 @@ def ek_count_sequences(kind: str, N: int, c: float, delta: float,
     if not (0.0 <= delta <= 1.0):
         raise SpecError("delta must lie in [0, 1]")
     if kind == "convolutions":
-        if theta1 is None or theta1 <= 1.0:
-            raise SpecError("convolutions counting needs theta1 > 1")
+        if theta1 is None or not 1.0 < theta1 < math.inf:
+            raise SpecError("convolutions counting needs a finite theta1 > 1")
         counts = _count_convolutions(theta1, N, c, delta)
     elif kind == "translations":
-        if theta is None or theta <= 1.0:
-            raise SpecError("translations counting needs theta > 1")
+        if theta is None or not 1.0 < theta < math.inf:
+            raise SpecError("translations counting needs a finite theta > 1")
         counts = _count_translations(theta, N, c, delta)
     elif kind == "projections":
         raise SpecError("sequence counting is defined for the translations "

@@ -67,7 +67,7 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     work.
     """
     p = check_weights(p, ifs.m)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise SpecError("tol must be positive")
     if tol < 1e-15:
         raise PrecisionError("tol below 1e-15 is not resolvable in float64")
@@ -212,7 +212,7 @@ class FourierProfile:
             object.__setattr__(self, name, arr)
 
 
-def decay_fit(measure, xi_max: float, bands: int, samples_per_band: int = 64,
+def decay_fit(measure, bands: int, samples_per_band: int = 64,
               tol: float = 1e-9, band_ratio: float = 2.0, xi0: float = 1.0,
               seed: int = 0) -> FourierProfile:
     """Fit a power-decay exponent to band maxima of |mu-hat|.
@@ -222,7 +222,7 @@ def decay_fit(measure, xi_max: float, bands: int, samples_per_band: int = 64,
     per band with the band's frequencies as an array.
 
     Bands are geometric, [xi0 ratio^k, xi0 ratio^(k+1)) for k < bands, and
-    xi_max must reach the last band edge. Within each band one sample sits
+    the last band edge must be finite. Within each band one sample sits
     exactly at the band start and the rest follow a golden-ratio ladder in
     log scale, offset deterministically by the seed.
     """
@@ -233,14 +233,16 @@ def decay_fit(measure, xi_max: float, bands: int, samples_per_band: int = 64,
         raise SpecError("need at least 2 bands")
     if samples_per_band < 1:
         raise SpecError("samples_per_band must be >= 1")
-    if band_ratio <= 1.0:
-        raise SpecError("band_ratio must exceed 1")
-    if xi0 <= 0.0:
-        raise SpecError("xi0 must be positive")
-    if xi_max < xi0 * band_ratio ** bands:
-        raise SpecError(
-            f"xi_max {xi_max:g} does not reach the last band edge "
-            f"{xi0 * band_ratio ** bands:g}")
+    if not 1.0 < band_ratio < math.inf:
+        raise SpecError("band_ratio must be finite and exceed 1")
+    if not 0.0 < xi0 < math.inf:
+        raise SpecError("xi0 must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise SpecError("tol must be positive and finite")
+    with np.errstate(over="ignore"):
+        if xi0 * np.float64(band_ratio) ** bands == math.inf:
+            raise SpecError(f"the last band edge xi0 band_ratio^{bands} "
+                            "is not finite")
 
     offsets = np.empty(samples_per_band)
     offsets[0] = 0.0

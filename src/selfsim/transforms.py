@@ -78,6 +78,8 @@ def histogram_project(hist2d: DyadicHistogram, beta: float,
     """
     if hist2d.ambient_dim != 2:
         raise SpecError("histogram_project needs a 2D histogram")
+    if not math.isfinite(beta):
+        raise SpecError("beta must be finite")
     if n_out < 1:
         raise SpecError("output level must be >= 1")
     w = hist2d.cell_width
@@ -97,7 +99,7 @@ def histogram_project(hist2d: DyadicHistogram, beta: float,
 
 
 def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
-                  n_out: int | None = None) -> DyadicHistogram:
+                  n_out: int) -> DyadicHistogram:
     """Certified histogram of mu1 * T_u mu2 at a coarser output level.
 
     Both inputs must be 1D at the same level n; the second coordinate is
@@ -127,12 +129,10 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     """
     if h1.ambient_dim != 1 or h2.ambient_dim != 1:
         raise SpecError("convolution needs 1D histograms")
-    if u == 0.0:
-        raise SpecError("scaling factor u must be nonzero")
+    if u == 0.0 or not math.isfinite(u):
+        raise SpecError("scaling factor u must be finite and nonzero")
     if h1.n != h2.n:
         raise SpecError("histograms must share a level; rebuild one of them")
-    if n_out is None:
-        n_out = h1.n - 4
     if not (1 <= n_out <= h1.n):
         raise SpecError("output level must lie in [1, input level]")
 
@@ -392,8 +392,8 @@ class ConvolvedMeasure:
         _require_plain(m2)
         if m1.ifs.ambient_dim != 1 or m2.ifs.ambient_dim != 1:
             raise SpecError("convolution needs two 1D systems")
-        if u == 0.0:
-            raise SpecError("convolution scale u must be nonzero")
+        if u == 0.0 or not math.isfinite(u):
+            raise SpecError("convolution scale u must be finite and nonzero")
         self.m1 = m1
         self.m2 = m2
         self.u = float(u)
@@ -414,7 +414,7 @@ class ConvolvedMeasure:
         cancellation), so the product's bound e1 + e2 + e1 e2 <= 2t + t^2
         stays within tol. xi is one frequency or an array of them.
         """
-        if tol <= 0.0:
+        if not tol > 0.0:
             raise SpecError("tol must be positive")
         t = tol / (1.0 + math.sqrt(1.0 + tol))
         v1, e1 = self.m1.ft(xi, tol=t)
@@ -441,6 +441,8 @@ def project_measure(m: SelfSimilarMeasure, beta: float):
     measure (project_ifs); rotating ones give a ProjectedMeasure.
     """
     _require_plain(m)
+    if not math.isfinite(beta):
+        raise SpecError("beta must be finite")
     if abs(m.ifs.map.alpha or 0.0) <= 1e-15:
         return SelfSimilarMeasure(*project_ifs(m.ifs, m.p, beta))
     return ProjectedMeasure(m, beta)

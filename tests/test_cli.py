@@ -1,12 +1,13 @@
 """Command-line behavior: schemas, exit codes, output determinism."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from selfsim.cli import main
+from selfsim.cli import _build_parser, main
 
 C13 = {"ambient_dim": 1, "ratio": 1 / 3, "sign": 1,
        "translations": [0.0, 2 / 3], "weights": [0.5, 0.5], "label": "c13"}
@@ -18,13 +19,15 @@ FOUR = {"ambient_dim": 2, "ratio": 1 / 3, "alpha": 0.0,
         "translations": [[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3],
                          [2 / 3, 2 / 3]],
         "label": "four_corner"}
+ROT = {"ambient_dim": 2, "ratio": 0.6, "alpha": 0.1,
+       "translations": [[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]}
 
 
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
     for name, doc in (("c13", C13), ("c14", C14), ("golden", GOLDEN),
-                      ("four", FOUR)):
+                      ("four", FOUR), ("rot", ROT)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -140,9 +143,9 @@ def test_ekscan_single_and_range(tmp_path):
     assert header == ["parameter", "badness", "witness_t"]
     assert float(rows[0][1]) == pytest.approx(28 / 30)
     out2 = tmp_path / "e2.csv"
-    assert main(["ekscan", "translations", "--lambda-range", "0.5:0.7:4",
-                 "--N", "12", "--c", "0.1", "--t-grid", "256",
-                 "-o", str(out2)]) == 0
+    assert main(["sweep", "translations", "--vary", "lam", "--lo", "0.5",
+                 "--hi", "0.7", "--steps", "4", "--N", "12", "--c", "0.1",
+                 "--t-grid", "256", "-o", str(out2)]) == 0
     _, rows2 = _read_csv(out2)
     assert len(rows2) == 4
     assert [float(r[0]) for r in rows2] == pytest.approx(
@@ -211,8 +214,6 @@ def test_exit_codes(specs, tmp_path, capsys):
     assert main(["dim"]) == 1
     assert main(["nonsense"]) == 1
     assert main(["dim", "--ifs", specs["c13"], "--levels", "banana"]) == 1
-    assert main(["ekscan", "translations", "--lambda-range", "0.5:0.7:3",
-                 "--u-range", "0.5:1:3"]) == 1
     assert main(["fourier", "--ifs", str(bad), "--bands", "5"]) == 2
     assert main(["dim", "--ifs", str(tmp_path / "missing.json")]) == 2
     assert main(["dim", "--ifs", specs["c13"], "--q", "1"]) == 2
@@ -230,6 +231,68 @@ def test_exit_codes(specs, tmp_path, capsys):
         capsys.readouterr()
         assert main(["check", "--ifs", str(bad)]) == 2, (field, value)
         assert field in capsys.readouterr().err
+
+
+# Each subcommand's option strings; adding or removing a setting shows here.
+OPTIONS = {
+    "dim": "--ifs --levels --extra-depth --guard --budget -o --out --q",
+    "entropy": "--ifs --levels --extra-depth --guard --budget -o --out",
+    "fourier": "--ifs --bands --samples-per-band --tol --band-ratio --xi0 "
+               "--seed -o --out --band-out",
+    "project": "--ifs --extra-depth --budget -o --out --beta --n",
+    "convolve": "--ifs --extra-depth --guard --budget -o --out --other --u "
+                "--n",
+    "skipkeep": "--ifs --extra-depth --budget -o --out --k --part --n",
+    "ekscan": "--N --c --t-grid --lam --u --theta --alpha --beta --theta1 "
+              "--theta2 -o --out",
+    "ekcount": "--N --c --delta --theta --theta1 -o --out",
+    "sweep": "--vary --lo --hi --steps --jobs --N --c --t-grid --lam --u "
+             "--theta --alpha --beta --theta1 --theta2 -o --out",
+    "check": "--ifs --depth --n --extra-depth --budget -o --out",
+}
+# Settings that selected nothing and were removed.
+REMOVED = [["fourier", "--ifs", "{golden}", "--bands", "2", "--xi-max", "8"],
+           ["ekscan", "translations", "--lambda-range", "0.5:0.7:3"],
+           ["ekscan", "projections", "--theta-range", "1.5:2:3",
+            "--alpha", "1.0"],
+           ["ekscan", "convolutions", "--theta1-range", "1.5:2:3",
+            "--theta2", "3"],
+           ["ekscan", "translations", "--lam", "0.6", "--u-range", "1:2:3"],
+           ["ekscan", "translations", "--lam", "0.6", "--jobs", "2"],
+           ["project", "--ifs", "{rot}", "--beta", "1", "--guard", "2"],
+           ["skipkeep", "--ifs", "{c13}", "--k", "2", "--guard", "2"]]
+
+
+def test_option_surface_is_frozen(specs):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: " ".join(s for a in sp._actions if a.dest != "help"
+                          for s in a.option_strings)
+           for name, sp in sub.choices.items()}
+    assert got == OPTIONS
+    for argv in REMOVED:
+        assert main([a.format(**specs) for a in argv]) == 1, argv
+
+
+NON_FINITE = [["fourier", "--ifs", "{golden}", "--bands", "2", "--xi0", "1e308"],
+              ["fourier", "--ifs", "{golden}", "--bands", "2", "--xi0", "nan"],
+              ["fourier", "--ifs", "{golden}", "--bands", "2", "--tol", "nan"],
+              ["fourier", "--ifs", "{golden}", "--bands", "2",
+               "--band-ratio", "inf"],
+              ["project", "--ifs", "{rot}", "--beta", "nan", "--n", "4"],
+              ["project", "--ifs", "{rot}", "--beta", "inf", "--n", "4"],
+              ["convolve", "--ifs", "{c13}", "--other", "{c14}", "--u", "nan"],
+              ["convolve", "--ifs", "{c13}", "--other", "{c14}", "--u", "inf"],
+              ["ekcount", "convolutions", "--theta1", "inf"],
+              ["ekcount", "translations", "--theta", "nan"],
+              ["ekscan", "translations", "--lam", "0.6", "--u", "nan"]]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=" ".join)
+def test_non_finite_parameters_exit_2(argv, specs, capsys):
+    assert main([a.format(**specs) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fourier_convolution(specs, tmp_path):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from selfsim import (DimEstimate, SpecError, ac_predicate, build_moment_table,
-                     check_submultiplicativity, closed_form_Dq,
-                     continuity_check_at_1, estimate_D1, estimate_Dq,
-                     histogram, table_from_histograms)
+                     check_submultiplicativity, closed_form_Dq, estimate_D1,
+                     estimate_Dq, histogram, table_from_histograms)
 
 
 def test_closed_form_values(cantor13, biased13):
@@ -99,16 +98,6 @@ def test_submultiplicativity_needs_q_above_one(cantor13):
     table = build_moment_table(ifs, p, [2.0], n_min=1, n_max=6)
     with pytest.raises(SpecError):
         check_submultiplicativity(table, 0.5, 4.0)
-
-
-def test_continuity_at_one(cantor13):
-    ifs, p = cantor13
-    rep = continuity_check_at_1(ifs, p, [2.0, 1.5, 1.25, 1.1])
-    assert rep.passed
-    assert rep.monotone
-    assert rep.below_d1
-    # points increase toward the entropy dimension as q drops to 1
-    assert list(rep.points) == sorted(rep.points)
 
 
 def test_ac_predicate_branches():

@@ -212,6 +212,14 @@ def test_spec_validation():
         EkSpec(kind="projections", N=10, c=0.1, theta=2.0, alpha=math.pi)
     with pytest.raises(SpecError):
         EkSpec(kind="convolutions", N=10, c=0.1, theta1=3.0, theta2=2.0)
+    valid = {"translations": {"lam": 0.6},
+             "projections": {"theta": 2.0, "alpha": 1.0},
+             "convolutions": {"theta1": 2.0, "theta2": 3.0}}
+    for field in ("c", "lam", "u", "theta", "alpha", "beta", "theta1", "theta2"):
+        for bad in (math.nan, math.inf):
+            for kind, params in valid.items():
+                with pytest.raises(SpecError):
+                    EkSpec(kind=kind, N=10, **{"c": 0.1, **params, field: bad})
 
 
 def test_golden_badness_frozen():
@@ -387,6 +395,17 @@ def test_node_budget_matches_oracle(monkeypatch, kind, theta, N, chunk):
                 assert at > length
 
 
+def test_node_budget_bounds_a_level(monkeypatch):
+    """A level merges once it could pass the budget room left, so the
+    error names at most the budget plus one candidate chunk."""
+    monkeypatch.setattr(ekscan, "_NODE_BUDGET", 100_000)
+    monkeypatch.setattr(ekscan, "_CANDIDATE_CHUNK", 4096)
+    with pytest.raises(BudgetError) as err:
+        ek_count_sequences("translations", 3, 0.1, 0.0, theta=100.0)
+    needed = int(re.search(r"at least (\d+) nodes by length 2", str(err.value))[1])
+    assert 100_000 < needed <= 100_000 + 4096
+
+
 def test_count_exact_range():
     """Terms past float64's exact range raise PrecisionError, exit 4."""
     with pytest.raises(PrecisionError):
@@ -413,6 +432,11 @@ def test_count_validation():
         ek_count_sequences("convolutions", 23, 0.1, 0.0, theta1=2.0)
     with pytest.raises(SpecError):
         ek_count_sequences("convolutions", 2, 0.1, 0.0, theta1=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            ek_count_sequences("convolutions", 5, 0.1, 0.0, theta1=bad)
+        with pytest.raises(SpecError):
+            ek_count_sequences("translations", 5, 0.1, 0.0, theta=bad)
 
 
 def test_sweep_spike_at_golden():

@@ -123,7 +123,7 @@ def test_convolution_bound_within_tol(cantor13, cantor14):
     conv = ConvolvedMeasure(SelfSimilarMeasure(*cantor13),
                             SelfSimilarMeasure(*cantor14), u=0.7)
     tol = 1e-12
-    prof = decay_fit(conv, 2.0 ** 12, 12, samples_per_band=16, tol=tol)
+    prof = decay_fit(conv, 12, samples_per_band=16, tol=tol)
     assert np.all(prof.error_bound <= tol)
     assert np.all(prof.abs_value <= 1.0 + prof.error_bound)
     with pytest.raises(PrecisionError):
@@ -133,7 +133,7 @@ def test_convolution_bound_within_tol(cantor13, cantor14):
 def test_decay_fit_lebesgue(lebesgue_unit):
     """|sinc|-type decay fits sigma near 1."""
     ifs, p = lebesgue_unit
-    prof = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 ** 14, 14,
+    prof = decay_fit(SelfSimilarMeasure(ifs, p), 14,
                      samples_per_band=32, seed=0)
     assert prof.sigma_hat == pytest.approx(1.0065437724, abs=1e-6)
     assert prof.fdim_est == pytest.approx(2 * prof.sigma_hat)
@@ -142,7 +142,7 @@ def test_decay_fit_lebesgue(lebesgue_unit):
 def test_decay_fit_cantor_resonant_bands(cantor13):
     """Sampling bands in ratio 3 reveals the non-decaying subsequence."""
     ifs, p = cantor13
-    prof = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 * 3.0 ** 12, 12,
+    prof = decay_fit(SelfSimilarMeasure(ifs, p), 12,
                      samples_per_band=16, band_ratio=3.0, xi0=2.0, seed=0)
     assert prof.sigma_hat <= 1e-10
     tail = prof.band_max[-4:]
@@ -151,8 +151,8 @@ def test_decay_fit_cantor_resonant_bands(cantor13):
 
 def test_decay_fit_deterministic(golden_bc):
     ifs, p = golden_bc
-    a = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 ** 10, 10, samples_per_band=8, seed=3)
-    b = decay_fit(SelfSimilarMeasure(ifs, p), 2.0 ** 10, 10, samples_per_band=8, seed=3)
+    a = decay_fit(SelfSimilarMeasure(ifs, p), 10, samples_per_band=8, seed=3)
+    b = decay_fit(SelfSimilarMeasure(ifs, p), 10, samples_per_band=8, seed=3)
     assert np.array_equal(a.xi, b.xi)
     assert np.array_equal(a.abs_value, b.abs_value)
     assert a.sigma_hat == b.sigma_hat
@@ -161,10 +161,22 @@ def test_decay_fit_deterministic(golden_bc):
 def test_decay_fit_validation(four_corner, cantor13):
     ifs2, p2 = four_corner
     with pytest.raises(SpecError):
-        decay_fit(SelfSimilarMeasure(ifs2, p2), 100.0, 5)
-    ifs, p = cantor13
+        decay_fit(SelfSimilarMeasure(ifs2, p2), 5)
+    measure = SelfSimilarMeasure(*cantor13)
+    for bad in ({"xi0": math.nan}, {"xi0": 1e308}, {"tol": math.nan},
+                {"tol": math.inf}, {"band_ratio": math.inf},
+                {"band_ratio": 1e300}):
+        with pytest.raises(SpecError):
+            decay_fit(measure, 8, **bad)
+
+
+def test_nan_tol(cantor13, cantor14):
     with pytest.raises(SpecError):
-        decay_fit(SelfSimilarMeasure(ifs, p), 2.0, 8)  # xi_max below the band range
+        ft_batch(*cantor13, np.array([1.0]), tol=math.nan)
+    conv = ConvolvedMeasure(SelfSimilarMeasure(*cantor13),
+                            SelfSimilarMeasure(*cantor14))
+    with pytest.raises(SpecError):
+        conv.ft(1.0, tol=math.nan)
 
 
 def test_projected_measure_object(four_corner):
@@ -172,7 +184,7 @@ def test_projected_measure_object(four_corner):
     pm = ProjectedMeasure(SelfSimilarMeasure(ifs, p), 1.0)
     v, err = pm.ft(3.0)
     assert abs(v) <= 1.0 + err
-    prof = decay_fit(pm, 2.0 ** 8, 8, samples_per_band=8)
+    prof = decay_fit(pm, 8, samples_per_band=8)
     assert prof.sigma_hat >= 0.0
 
 
@@ -223,7 +235,7 @@ def test_batched_ft_matches_scalar_bits(golden_bc, biased13):
 def test_decay_fit_keeps_scalar_bits(golden_bc, biased13):
     """decay_fit's moduli and bounds are those of one scalar call per sample."""
     for name, measure in _batch_measures(golden_bc, biased13).items():
-        prof = decay_fit(measure, 2.0 ** 10, 10, samples_per_band=24,
+        prof = decay_fit(measure, 10, samples_per_band=24,
                          tol=1e-12, seed=2)
         pairs = [measure.ft(x, tol=1e-12) for x in prof.xi]
         moduli = np.array([abs(v) for v, _ in pairs])

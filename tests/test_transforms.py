@@ -129,6 +129,21 @@ def test_convolution_validation(cantor13):
         convolve_hist(h8, h8, 1.0, n_out=9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_and_u(bad, four_corner, cantor13):
+    with pytest.raises(SpecError):
+        histogram_project(histogram(*four_corner, 4), bad, 4)
+    with pytest.raises(SpecError):
+        transforms.project_measure(transforms.SelfSimilarMeasure(*four_corner),
+                                   bad)
+    h = histogram(*cantor13, 6)
+    with pytest.raises(SpecError):
+        convolve_hist(h, h, bad, n_out=4)
+    m = transforms.SelfSimilarMeasure(*cantor13)
+    with pytest.raises(SpecError):
+        transforms.ConvolvedMeasure(m, m, bad)
+
+
 def test_convolution_pair_budget(lebesgue_unit):
     """At n_out = n every column has its own code, so every pair is formed."""
     ifs, p = lebesgue_unit
