@@ -1,15 +1,16 @@
-"""Frozen CSV bytes of the histogram, check, fourier and scan subcommands.
+"""Frozen CSV bytes of the histogram, dimension, check, fourier and scan
+subcommands.
 
 Each file under tests/golden/ is the exact output of one command below
 (fourier commands also write their band table to <name>_bands.csv).
 A refactor must leave these bytes alone; a change that moves them on
 purpose rewrites them with `python tests/test_cli_golden.py` and says why.
 
-dim and entropy are left out: their last digits come from numpy's
-vectorised log2, which can differ between CPUs. The fourier files depend
-on numpy's vectorised cos, sin and exp in the same way; they were written
-with numpy 2.4.6 on x86-64 and pin those bits for refactors of the
-transform, so another numpy build or CPU may need them rewritten.
+The dim and entropy files depend on numpy's vectorised log2 and power,
+and the fourier files on its vectorised cos, sin and exp, which can differ
+between CPUs. They were written with numpy 2.4.6 on x86-64 and pin those
+bits for refactors of the binning and the transform, so another numpy
+build or CPU may need them rewritten.
 """
 
 import json
@@ -63,6 +64,13 @@ DOCS = {
     # The four-corner set turned by the golden fraction, seen along 1 rad.
     "rotproj": {"ambient_dim": 2, "ratio": 1 / 3, "alpha": _G,
                 "translations": _CORNERS, "weights": [0.4, 0.3, 0.2, 0.1],
+                "derive": {"kind": "projection", "beta": 1.0}},
+    "sep3": {"ambient_dim": 1, "ratio": 0.25, "sign": 1,
+             "translations": [0.0, 0.375, 0.75], "weights": [0.5, 0.3, 0.2],
+             "label": "sep3"},
+    # The rotation-free four-corner set seen along 1 rad: a 1D system.
+    "generic": {"ambient_dim": 2, "ratio": 1 / 3, "alpha": 0.0,
+                "translations": _CORNERS, "weights": [0.3, 0.25, 0.25, 0.2],
                 "derive": {"kind": "projection", "beta": 1.0}},
 }
 
@@ -137,6 +145,14 @@ COMMANDS = {
                            "--lo", "1.6", "--hi", "2.4", "--steps", "12",
                            "--theta2", "3.0", "--u", "0.7", "--N", "20",
                            "--t-grid", "1024", "--jobs", "1"],
+    "dim_separated": ["dim", "--ifs", "{sep3}", "--q", "2", "--q", "0.5",
+                      "--levels", "6..19", "--extra-depth", "6"],
+    "dim_convolution": ["dim", "--ifs", "{conv}", "--q", "2", "--levels",
+                        "6..15"],
+    "dim_golden_merging": ["dim", "--ifs", "{golden}", "--levels", "6..14"],
+    "entropy_generic": ["entropy", "--ifs", "{generic}", "--levels", "6..13"],
+    # The planar box has 1449^2 cells at n = 10 and 2897^2 > 2^23 at n = 11.
+    "entropy_rotating": ["entropy", "--ifs", "{rotproj}", "--levels", "8..11"],
     "ekcount_translations": ["ekcount", "translations", "--theta",
                              repr(1.0 / _G), "--N", "10", "--c", "0.1",
                              "--delta", "0.25"],
