@@ -64,7 +64,8 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     fill the complex factor terms, which are weighted by p and multiplied
     along the factors. A sample that needs more than _MAX_FACTORS factors
     raises BudgetError, naming the first such sample's count, before any
-    work.
+    work, and a finite frequency whose truncation base overflows raises
+    SpecError.
     """
     p = check_weights(p, ifs.m)
     if not tol > 0.0:
@@ -76,10 +77,15 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     if xi.ndim != dim or xi.shape[1:] != (2,) * (dim - 1):
         raise SpecError(f"{dim}D systems take frequencies of shape "
                         f"{'(S, 2)' if dim == 2 else '(S,)'}")
-    xi_norm = np.abs(xi) if dim == 1 else np.hypot(xi[:, 0], xi[:, 1])
-
     r = ifs.map.ratio
-    base = math.pi * max_norm(ifs.translations) * xi_norm / (1.0 - r)
+    with np.errstate(over="ignore"):
+        xi_norm = np.abs(xi) if dim == 1 else np.hypot(xi[:, 0], xi[:, 1])
+        base = math.pi * max_norm(ifs.translations) * xi_norm / (1.0 - r)
+    # Frequencies that are not finite raise below, in _factor_counts.
+    overflow = np.isfinite(xi).reshape(xi.shape[0], -1).all(axis=1) & ~np.isfinite(base)
+    if overflow.any():
+        raise SpecError(f"frequency {xi[np.argmax(overflow)].tolist()} is too large: "
+                        "its truncation base pi max|a| |xi| / (1 - r) overflows")
     values = np.ones(xi.shape[0], dtype=complex)
     bounds, n_factors = base.copy(), _factor_counts(base, r, tol)
 

@@ -18,12 +18,16 @@ depth h, up to the order of float summation. Only words whose enclosure
 meets a cell boundary keep growing, so the cost follows the number of
 such boundary words rather than m^h.
 
-A settled word carries its integer cell floor((lo - eps) 2^n) =
-floor((hi + eps) 2^n) to binning, not its enclosure ends: floor is
-monotone, so the inward floors of the ends name the same cell and the
-word adds its weight to both masses there. Settled cells come ahead of the
-depth-h words in every sum, the order in which binning all ends would add
-them, so the masses are bit for bit the same.
+A settled word adds its weight to its integer cell floor((lo - eps) 2^n) =
+floor((hi + eps) 2^n) as it settles, not by its enclosure ends: floor is
+monotone, so the inward floors of the ends name the same cell, and the
+weight counts in both masses there. Up to _DENSE_SPAN_CAP cells in the box
+the weight goes straight into one dense float64 sum per cell (_CellSums);
+when expansion ends the upper sums start as a copy of these, and the
+depth-h words are binned behind them a chunk at a time. Settled words thus
+come ahead of the depth-h words in every sum, in the order binning every
+word's ends at once would add them, so the masses are bit for bit the same,
+and memory follows the live words and one chunk, not every word settled.
 
 Words of overlapping systems whose partial sums round to one multiple of
 2^-(n+40) are merged after each level. Most levels (all of them for separated
@@ -33,6 +37,7 @@ check finds that before the stable sort that groups them is paid for.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,6 +49,10 @@ from .ifs import HomogeneousIfs, cylinder_words
 
 _EPS_BASE = 1e-14
 _DENSE_SPAN_CAP = 1 << 23
+# Rows binned, or cell pairs formed in convolve_hist, per chunk. Above
+# _DENSE_SPAN_CAP the pair stage folds its sums every _PAIR_CHUNK pairs, so
+# the value fixes the bits of those sums.
+_PAIR_CHUNK = 1 << 21
 _MERGE_GUARD_BITS = 40
 # Odd multiplier (2^64 over the golden ratio) of the 2D merge keys' hash.
 _PAIR_HASH = 0x9E3779B97F4A7C15
@@ -177,12 +186,54 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
     return merged_c, merged_w
 
 
-def _aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
-    """Sum weights per cell code in [0, span). Returns (codes, sums) sorted."""
-    if span <= _DENSE_SPAN_CAP:
-        acc = np.bincount(cells, weights=weights, minlength=span)
-        nz = np.flatnonzero(acc)
-        return nz, acc[nz]
+class _CellSums:
+    """Sums of weights per flat cell code in [0, span), added in order.
+
+    Up to _DENSE_SPAN_CAP cells the sums are one dense float64 array and
+    add() puts each weight into it with np.add.at, one at a time in input
+    order: the bits np.bincount of every weight added so far would give.
+    Above the cap add() keeps the codes and weights, and _sorted_sums folds
+    them (a stable sort and np.add.reduceat, which sums pairwise, so a
+    fold's grouping fixes the bits): once at the end, or, with fold_every,
+    each time that many weights are pending, the running sums first.
+    """
+
+    def __init__(self, span: int, fold_every: int | None = None):
+        self.span, self.fold_every = span, fold_every
+        self.dense = np.zeros(span) if span <= _DENSE_SPAN_CAP else None
+        self.parts, self.pending = [], 0
+
+    def add(self, codes: np.ndarray, weights: np.ndarray) -> None:
+        if self.dense is not None:
+            np.add.at(self.dense, codes, weights)
+            return
+        self.parts.append((codes, weights))
+        self.pending += codes.size
+        if self.fold_every is not None and self.pending >= self.fold_every:
+            self.parts, self.pending = [self.sums()], 0
+
+    def copy(self) -> _CellSums:
+        """Sums that go on from these; the added arrays are shared, not copied."""
+        other = copy.copy(self)
+        other.parts = list(self.parts)
+        if self.dense is not None:
+            other.dense = self.dense.copy()
+        return other
+
+    def sums(self):
+        """(codes, sums) sorted by code; the dense sums leave out zeros."""
+        if self.dense is not None:
+            nz = np.flatnonzero(self.dense)
+            return nz, self.dense[nz]
+        if not self.parts:
+            return np.empty(0, np.int64), np.empty(0)
+        codes, weights = (np.concatenate(a) for a in zip(*self.parts))
+        return _sorted_sums(codes, weights, self.span)
+
+
+def _sorted_sums(cells: np.ndarray, weights: np.ndarray, span: int):
+    """Sum weights per cell code in [0, span) through a stable sort and
+    np.add.reduceat. Returns (codes, sums) sorted."""
     if cells.size == 0:
         return cells, weights
     order = _stable_order(cells, span)
@@ -211,22 +262,23 @@ def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
 def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
                            w_lower: np.ndarray, w_upper: np.ndarray,
                            n: int, k_min, k_max, eps: float,
-                           settled: np.ndarray | None = None,
-                           settled_w: np.ndarray | None = None):
+                           sums: _CellSums | None = None):
     """Bin weighted intervals or boxes into level-n dyadic cells of a box.
 
     e_lo and e_hi hold the enclosure ends, shape (K,) for intervals with
     scalar k_min, k_max, or (K, d) for boxes with one bound per axis.
     w_lower feeds the lower mass of the cell containing an enclosure on
     every axis, w_upper the upper mass of every cell it touches.
+    Enclosures are binned _PAIR_CHUNK at a time (see _bin_cells), so
+    memory follows one chunk, not every enclosure.
 
-    settled, shape (S,) or (S, d), holds the absolute cells of enclosures
-    already known to lie in one cell (histogram() finds them while it
-    settles words), with their weights in settled_w; it is overwritten.
-    Each adds its weight to the lower and upper mass of its cell, ahead of
-    the enclosures in every sum, so the masses are bit for bit those of
-    binning the settled enclosures' ends first. Returns (indices, lower,
-    upper) with absolute cell indices.
+    sums, when given, holds the per-cell sums over the box's flat codes
+    (see _flat_code) of weights already known to lie in one cell:
+    histogram() adds each settled word's weight there as it settles. They
+    start both masses, ahead of every enclosure, which is where binning
+    the settled words' ends first would put them, so the masses keep
+    those bits; sums itself goes on as the lower masses. Returns
+    (indices, lower, upper) with absolute cell indices.
     """
     scale = 2.0 ** n
 
@@ -236,75 +288,98 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
         t *= scale
         return np.floor(t, out=t).astype(np.int64)
 
-    contained = True
-    low, t_lo, t_hi = [], [], []
-    # Rows of the transposed (1, K) or (d, K) views are per-axis coordinates.
-    for lo, hi in zip(np.atleast_2d(e_lo.T), np.atleast_2d(e_hi.T)):
-        c_lo = cell(lo, eps)
-        contained = contained & (c_lo == cell(hi, -eps))
-        low.append(c_lo)
-        t_lo.append(cell(lo, -eps))
-        t_hi.append(cell(hi, eps))
-    return _bin_cells([c[contained] for c in low], w_lower[contained], t_lo,
-                      t_hi, w_upper, np.atleast_1d(k_min), np.atleast_1d(k_max),
-                      settled, settled_w)
+    def chunks():
+        for start in range(0, w_upper.shape[0], _PAIR_CHUNK):
+            rows = slice(start, start + _PAIR_CHUNK)
+            # Rows of the transposed (1, K) or (d, K) views are per-axis
+            # coordinates.
+            axes = list(zip(np.atleast_2d(e_lo[rows].T), np.atleast_2d(e_hi[rows].T)))
+            contained, low = True, []
+            for lo, hi in axes:
+                low.append(cell(lo, eps))
+                contained = contained & (low[-1] == cell(hi, -eps))
+            # The contained rows' cells replace the chunk's before the
+            # touched cells are formed, so fewer chunk-sized arrays coexist.
+            low = [c[contained] for c in low]
+            yield (low, w_lower[rows][contained], [cell(lo, -eps) for lo, _ in axes],
+                   [cell(hi, eps) for _, hi in axes], w_upper[rows])
+
+    return _bin_cells(chunks(), np.atleast_1d(k_min), np.atleast_1d(k_max), sums)
 
 
-def _bin_cells(low_cells: list, low_w: np.ndarray, t_lo: list, t_hi: list,
-               w_upper: np.ndarray, k_min, k_max, settled: np.ndarray | None = None,
-               settled_w: np.ndarray | None = None):
+def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
     """Sum masses already assigned to integer cells, clipped to [k_min, k_max].
 
-    Cells come per axis, one integer array per axis in low_cells, t_lo and
-    t_hi, with one bound per axis in k_min and k_max. low_w lands in the
-    cell low_cells; w_upper lands in every cell of the box [t_lo, t_hi].
-    settled, shape (S,) or (S, d), adds settled_w to both masses of its
-    cells, ahead of every other term of both sums. The cell arrays are
-    overwritten (clipped to the box and shifted to start at 0, t_hi then
-    turned into widths), so callers pass arrays they own. Returns
-    (indices, lower, upper) over the cells with positive upper mass;
-    indices are flat in 1D and (K, d) otherwise.
+    chunks yields (low_cells, low_w, t_lo, t_hi, w_upper). Cells come per
+    axis, one integer array per axis in low_cells, t_lo and t_hi, with one
+    bound per axis in k_min and k_max. low_w lands in the cell low_cells;
+    w_upper lands in every cell of the box [t_lo, t_hi]. The cell arrays
+    are overwritten, so chunks yields arrays it owns. sums (see
+    bin_weighted_intervals) starts both masses.
+
+    The masses are added as each chunk comes, in the order binning every
+    row at once adds them, so chunking moves no bit. The lower sums take
+    the contained rows. The upper sums take offset 0 from the first cell
+    on every axis for all rows, then each nonzero offset in
+    itertools.product order for the rows at least that wide; only rows
+    wider than one cell are kept for that until the last chunk. Up to
+    _DENSE_SPAN_CAP cells each weight goes into a dense sum as it comes.
+    Above the cap the codes are kept and summed once at the end, as when
+    every row was binned at once: those sums use np.add.reduceat, which
+    adds pairwise, so folding each chunk would regroup the terms and move
+    bits. Returns (indices, lower, upper) over the cells with positive
+    upper mass; indices are flat in 1D and (K, d) otherwise.
     """
     spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
-    for cells in (low_cells, t_lo, t_hi):
-        for arr, k0, k1 in zip(cells, k_min, k_max):
-            np.clip(arr, k0, k1, out=arr)
-            arr -= k0
-    low_code = _flat_code(low_cells, spans)
-    # Offset 0 on every axis takes every row; the others a masked subset.
-    up_cells, up_w = [_flat_code(t_lo, spans)], [w_upper]
-    if settled is not None:
-        np.clip(settled, k_min, k_max, out=settled)
-        settled -= k_min
-        code = _flat_code(list(np.atleast_2d(settled.T)), spans)
-        low_code, low_w = np.concatenate((code, low_code)), np.concatenate((settled_w, low_w))
-        up_cells.insert(0, code)
-        up_w.insert(0, settled_w)
-    widths = t_hi
-    for lo, hi in zip(t_lo, widths):
-        hi -= lo
-    for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
-                                    for w in widths)):
-        if not any(offs):
-            continue
-        mask = widths[0] >= offs[0]
-        for w, off in zip(widths[1:], offs[1:]):
-            mask &= w >= off
-        up_cells.append(_flat_code([lo[mask] + off for lo, off in zip(t_lo, offs)], spans))
-        up_w.append(w_upper[mask])
-    up_cells, up_w = np.concatenate(up_cells), np.concatenate(up_w)
+    lower = sums if sums is not None else _CellSums(math.prod(spans))
+    upper = lower.copy()
+    wide = [_bin_chunk(lower, upper, k_min, k_max, *chunk) for chunk in chunks]
+    if wide:
+        d = len(spans)
+        wide = [np.concatenate(part) for part in zip(*wide)]
+        t_lo, widths, w_upper = wide[:d], wide[d:2 * d], wide[2 * d]
+        for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
+                                        for w in widths)):
+            if not any(offs):
+                continue
+            mask = widths[0] >= offs[0]
+            for w, off in zip(widths[1:], offs[1:]):
+                mask &= w >= off
+            upper.add(_flat_code([lo[mask] + off for lo, off in zip(t_lo, offs)], spans),
+                      w_upper[mask])
 
-    span = math.prod(spans)
-    lo_idx, lo_sum = _aggregate(low_code, low_w, span)
-    up_idx, up_sum = _aggregate(up_cells, up_w, span)
-
+    up_idx, up_sum = upper.sums()
+    lo_idx, lo_sum = lower.sums()
     if len(spans) == 1:
         indices = up_idx + k_min[0]
     else:
         indices = np.stack(np.unravel_index(up_idx, spans), axis=1) + np.asarray(k_min)
-    upper = np.minimum(up_sum, 1.0)
-    lower = _place_lower(up_idx, lo_idx, lo_sum)
-    return indices, lower, upper
+    return indices, _place_lower(up_idx, lo_idx, lo_sum), np.minimum(up_sum, 1.0)
+
+
+def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, low_cells: list,
+               low_w: np.ndarray, t_lo: list, t_hi: list, w_upper: np.ndarray):
+    """Add one chunk's lower masses and its upper masses at offset 0.
+
+    Returns the per-axis cells in the box and widths, then the w_upper,
+    of the rows wider than one cell on some axis, for the other offsets.
+    """
+    spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
+    lower.add(_flat_code(_to_box(low_cells, k_min, k_max), spans), low_w)
+    upper.add(_flat_code(_to_box(t_lo, k_min, k_max), spans), w_upper)
+    widths = _to_box(t_hi, k_min, k_max)
+    for lo, w in zip(t_lo, widths):
+        w -= lo
+    wide = np.logical_or.reduce([w > 0 for w in widths])
+    return [a[wide] for a in (*t_lo, *widths, w_upper)]
+
+
+def _to_box(cells: list, k_min, k_max) -> list:
+    """Clip per-axis cells to [k_min, k_max] and shift them to start at 0, in place."""
+    for arr, k0, k1 in zip(cells, k_min, k_max):
+        np.clip(arr, k0, k1, out=arr)
+        arr -= k0
+    return cells
 
 
 def _flat_code(cells: list, spans: list) -> np.ndarray:
@@ -353,8 +428,10 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
     eps = _EPS_BASE * max(1.0, coord_bound)
     scale = 2.0 ** n
     quantum = 2.0 ** -(n + _MERGE_GUARD_BITS)
-    # Cells and weights of the words settled before depth h.
-    cells, cell_w = [], []
+    k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))
+    spans = [b - a + 1 for a, b in zip(k0, k1)]
+    # Per-cell sums of the words settled before depth h.
+    settled = _CellSums(math.prod(spans))
 
     def merge_and_settle(depth, centers, weights):
         centers, weights = _merge_close_points(centers, weights, quantum)
@@ -375,18 +452,20 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
         np.floor(c, out=c)
         one_cell = lo == c
         done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
-        cells.append(lo[done].astype(np.int64))
-        cell_w.append(weights[done])
+        cells = lo[done].astype(np.int64)
+        settled.add(_flat_code(_to_box(list(np.atleast_2d(cells.T)), k0, k1), spans),
+                    weights[done])
         keep = ~done
         return centers[keep], weights[keep]
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
-    c = centers + ifs.apply_power(h, zs)
     rho = ifs.map.ratio ** h * r0
-    k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))
-    settled = (np.concatenate(cells), np.concatenate(cell_w)) if cells else (None, None)
+    # The enclosure ends c - rho and c + rho, reusing the rows' own array.
+    centers += ifs.apply_power(h, zs)
+    e_lo = centers - rho
+    centers += rho
     idx, lower, upper = bin_weighted_intervals(
-        c - rho, c + rho, weights, weights, n, k0, k1, eps, *settled)
+        e_lo, centers, weights, weights, n, k0, k1, eps, settled)
     return DyadicHistogram(ifs.ambient_dim, n, h, k0, k1, idx, lower, upper)
 
 

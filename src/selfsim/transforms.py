@@ -19,16 +19,13 @@ import numpy as np
 
 from .errors import BudgetError, SpecError
 from .fourier import ft_batch, ft_eval
-from .histogram import (_EPS_BASE, DyadicHistogram, _aggregate, _bin_cells,
-                        _box_range, bin_weighted_intervals, histogram)
+from .histogram import (_EPS_BASE, _PAIR_CHUNK, DyadicHistogram, _bin_cells,
+                        _box_range, _CellSums, bin_weighted_intervals, histogram)
 from .ifs import (HomogeneousIfs, Similarity, check_weights, cylinder_words,
                   ifs_from_json, parse_field, strict_int)
 
 _MERGE_TOL = 1e-12
 _PAIR_BUDGET = 50_000_000
-# Pairs formed per chunk in convolve_hist; at n = 16, 2^21 ran faster than
-# 2^22, with fewer page faults.
-_PAIR_CHUNK = 1 << 21
 
 
 def _merge_coincident(points: np.ndarray, weights: np.ndarray):
@@ -120,9 +117,10 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     mass at q_i plus a column code (first cell, and for upper mass also the
     number of cells touched). Many columns share a code, so within a group
     the weights of h2 are first summed per distinct code, and each row
-    pairs with those sums only. Pairs are summed per output code about
-    _PAIR_CHUNK at a time, so memory is bounded by the chunk and the
-    occupied output cells, not by the number of pairs. The pair budget
+    pairs with those sums only. Pairs are formed about _PAIR_CHUNK at a
+    time and added into per-code sums as they form (see _pair_sums, which
+    also gives the order of the sums), so memory is bounded by one chunk
+    and the sums, not by the number of pairs. The pair budget
     caps the groups times the cells of h2 (the column sums' work) and the
     pairs of the larger of the lower and upper passes; both are at most
     h1 cells x h2 cells.
@@ -192,8 +190,8 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     up_codes, up_w = _pair_sums(up_blocks, span * nw)
     t_lo, widths = np.divmod(up_codes, nw)
     t_lo += base
-    idx, lower, upper = _bin_cells([low_cells + base], low_w, [t_lo],
-                                   [t_lo + widths], up_w, (k0,), (k1,))
+    idx, lower, upper = _bin_cells([([low_cells + base], low_w, [t_lo],
+                                     [t_lo + widths], up_w)], (k0,), (k1,))
     return DyadicHistogram(1, n_out, min(h1.depth_used, h2.depth_used),
                            (k0,), (k1,), idx, lower, upper)
 
@@ -208,31 +206,24 @@ def _pair_sums(blocks: list, length: int):
     """Sum w_rows[i] * w_cols[j] per code rows[i] + cols[j] in [0, length).
 
     blocks holds (rows, w_rows, cols, w_cols) tuples. Zero weights are
-    skipped. Pairs are formed about _PAIR_CHUNK at a time, written behind
-    the running sums in one buffer, and folded into them once that many
-    are pending, so memory stays bounded by two chunks plus the occupied
-    codes. Returns (codes, sums) sorted.
+    skipped. Pairs are formed about _PAIR_CHUNK at a time and each chunk
+    goes into the per-code sums (_CellSums) as it forms, so memory stays
+    bounded by one chunk plus the sums. Up to the dense cap each pair is
+    added one at a time in the order the pairs form, which gives the bits
+    of np.bincount over all of them in that order. Above the cap the sums
+    fold every _PAIR_CHUNK pairs, the running sums first: they use
+    np.add.reduceat, which adds pairwise, so this schedule fixes their
+    bits. Returns (codes, sums) sorted.
     """
-    blocks = [(r[wr > 0.0], wr[wr > 0.0], c[wc > 0.0], wc[wc > 0.0])
-              for r, wr, c, wc in blocks]
-    # Room for the running sums, the pairs pending and one more chunk.
-    size = (min(length, sum(r.size * c.size for r, _, c, _ in blocks))
-            + 2 * _PAIR_CHUNK + max([c.size for _, _, c, _ in blocks] + [0]))
-    codes, sums = np.empty(size, np.int64), np.empty(size)
-    used = pending = 0
+    sums = _CellSums(length, fold_every=_PAIR_CHUNK)
     for rows, w_rows, cols, w_cols in blocks:
+        rows, w_rows = rows[w_rows > 0.0], w_rows[w_rows > 0.0]
+        cols, w_cols = cols[w_cols > 0.0], w_cols[w_cols > 0.0]
         step = max(1, _PAIR_CHUNK // max(1, cols.size))
         for i in range(0, rows.size, step):
-            shape = (rows[i:i + step].size, cols.size)
-            end = used + shape[0] * shape[1]
-            np.add(rows[i:i + step, None], cols, out=codes[used:end].reshape(shape))
-            np.multiply(w_rows[i:i + step, None], w_cols, out=sums[used:end].reshape(shape))
-            used, pending = end, pending + end - used
-            if pending >= _PAIR_CHUNK:
-                merged_codes, merged_sums = _aggregate(codes[:used], sums[:used], length)
-                used, pending = merged_codes.size, 0
-                codes[:used], sums[:used] = merged_codes, merged_sums
-    return _aggregate(codes[:used], sums[:used], length)
+            sums.add((rows[i:i + step, None] + cols).ravel(),
+                     (w_rows[i:i + step, None] * w_cols).ravel())
+    return sums.sums()
 
 
 @dataclass(frozen=True)

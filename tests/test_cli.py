@@ -275,7 +275,10 @@ def test_option_surface_is_frozen(specs):
         assert main([a.format(**specs) for a in argv]) == 1, argv
 
 
+# --xi0 1e307 is finite up to the last band edge, but its truncation base
+# pi max|a| xi / (1 - r) overflows.
 NON_FINITE = [["fourier", "--ifs", "{golden}", "--bands", "2", "--xi0", "1e308"],
+              ["fourier", "--ifs", "{golden}", "--bands", "2", "--xi0", "1e307"],
               ["fourier", "--ifs", "{golden}", "--bands", "2", "--xi0", "nan"],
               ["fourier", "--ifs", "{golden}", "--bands", "2", "--tol", "nan"],
               ["fourier", "--ifs", "{golden}", "--bands", "2",

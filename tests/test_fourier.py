@@ -474,6 +474,17 @@ def test_factor_cap_names_first_offender(monkeypatch, cantor13):
             _exp_ft_batch(ifs, p, np.array([1.0, bad]), tol=1e-9)
 
 
+def test_overflowing_base_is_a_spec_error(cantor13, four_corner):
+    """A finite frequency whose truncation base overflows is refused by
+    name, in 1D and in 2D (where |xi| itself overflows)."""
+    for (ifs, p), xi in ((cantor13, np.array([1.0, 1e308])),
+                         (four_corner, np.array([[1.0, 0.0], [1e308, 1e308]]))):
+        with pytest.raises(SpecError, match="too large"):
+            ft_batch(ifs, p, xi, tol=1e-9)
+    with pytest.raises(SpecError, match="too large"):
+        ft_eval(*cantor13, 1e308)
+
+
 # (base, ratio) pairs where np.log(tol / base) / log r lies one ulp above
 # the integer that math.log gives exactly (numpy 2.4.6 on x86-64, tol 1e-12),
 # so the ceiling of the vectorised quotient would count one factor more.

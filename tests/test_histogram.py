@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -14,9 +15,11 @@ from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      SpecError, cylinder_words, dyadic_depth, entropy_sum,
                      histogram, moment_sums, uniform_weights)
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
-                               _aggregate, _box_range, _flat_code,
-                               _merge_close_points, _place_lower,
-                               _stable_order, bin_weighted_intervals)
+                               _box_range, _flat_code, _merge_close_points,
+                               _place_lower, _sorted_sums, _stable_order,
+                               bin_weighted_intervals)
+
+from kernel_oracles import aggregate, collecting_histogram
 
 
 def test_lebesgue_exact(lebesgue_unit):
@@ -256,7 +259,7 @@ def test_adaptive_refinement_fixed_cases(sign, translations, p, n, extra_depth):
 # Oracles for the histogram layer's shortcuts: the merge that always sorts
 # and the binning of settled words by their enclosure ends, as they were
 # before the duplicate pre-check and the settled cells (cell sums through
-# _aggregate and _place_lower, which are unchanged).
+# the collect-then-sum aggregate of kernel_oracles, and _place_lower).
 
 
 def _sorting_merge(centers: np.ndarray, weights: np.ndarray, quantum: float):
@@ -318,8 +321,8 @@ def _ends_bin_cells(low_cells, low_w, t_lo, t_hi, w_upper, k_min, k_max):
     up_cells, up_w = np.concatenate(up_cells), np.concatenate(up_w)
 
     span = math.prod(spans)
-    lo_idx, lo_sum = _aggregate(_flat_code(low_cells, spans), low_w, span)
-    up_idx, up_sum = _aggregate(up_cells, up_w, span)
+    lo_idx, lo_sum = aggregate(_flat_code(low_cells, spans), low_w, span)
+    up_idx, up_sum = aggregate(up_cells, up_w, span)
 
     if len(spans) == 1:
         indices = up_idx + k_min[0]
@@ -432,6 +435,64 @@ def test_merging_histograms_bit_identical(ifs, n, extra_depth, monkeypatch):
     assert np.array_equal(hist.indices, idx)
     assert np.array_equal(hist.lower, lower)
     assert np.array_equal(hist.upper, upper)
+
+
+HISTOGRAM = importlib.import_module("selfsim.histogram")
+
+
+def _assert_matches_collecting(ifs, p, n, extra_depth):
+    idx, lower, upper = collecting_histogram(ifs, p, n, extra_depth)
+    hist = histogram(ifs, p, n, extra_depth=extra_depth)
+    assert np.array_equal(hist.indices, idx)
+    assert np.array_equal(hist.lower, lower)
+    assert np.array_equal(hist.upper, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_oracle_systems(), n=st.integers(3, 12), extra_depth=st.integers(0, 5),
+       cap=st.sampled_from([1 << 23, 200, 0]), chunk=st.sampled_from([1 << 21, 500, 7]))
+def test_histogram_matches_collecting_oracle(system, n, extra_depth, cap, chunk):
+    """Adding settled words into per-cell sums as they settle and binning
+    the depth-h words chunk by chunk change no bit of collecting every
+    cell and weight first. A cap of 200 or 0 cells sends small boxes
+    above it (sorted sums), and chunks of 500 or 7 rows bin in many."""
+    ifs, p = system
+    assume(_oracle_size_ok(ifs, n, extra_depth))
+    if chunk < 500:
+        assume(ifs.ratio > 0.5 or ifs.m ** dyadic_depth(ifs, n, extra_depth) <= 2 ** 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HISTOGRAM, "_DENSE_SPAN_CAP", cap)
+        mp.setattr(HISTOGRAM, "_PAIR_CHUNK", chunk)
+        _assert_matches_collecting(ifs, p, n, extra_depth)
+
+
+@pytest.mark.parametrize("n,extra_depth", [(10, 2), (11, 1)])
+def test_rotating_histogram_matches_collecting_oracle(n, extra_depth):
+    """The rotating four-corner set at the real cap: its box has 1449^2
+    cells at n = 10 (dense sums) and 2897^2 > 2^23 at n = 11 (sorted)."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=golden), _CORNERS)
+    hist = histogram(ifs, uniform_weights(4), n, extra_depth=extra_depth)
+    spans = np.asarray(hist.k_max) - np.asarray(hist.k_min) + 1
+    assert (math.prod(spans.tolist()) > HISTOGRAM._DENSE_SPAN_CAP) == (n == 11)
+    _assert_matches_collecting(ifs, uniform_weights(4), n, extra_depth)
+
+
+def test_histogram_peak_memory():
+    """Settled words go into per-cell sums as they settle and the depth-h
+    words are binned a chunk at a time, so the traced peak of the level-12
+    histogram of the four-corner set seen along 1 rad stays near that of
+    its live words (about 24 MB; collecting every cell first read 64 MB)."""
+    from selfsim.transforms import project_ifs
+    ifs, p = project_ifs(HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.0), _CORNERS),
+                         uniform_weights(4), 1.0)
+    tracemalloc.start()
+    try:
+        histogram(ifs, p, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @settings(max_examples=40, deadline=None)
@@ -603,6 +664,6 @@ def test_sparse_aggregate_keeps_sum_bits():
     order = np.argsort(codes, kind="stable")
     cs, ws = codes[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-    idx, sums = _aggregate(codes, weights, span)
+    idx, sums = _sorted_sums(codes, weights, span)
     assert np.array_equal(idx, cs[starts])
     assert sums.tobytes() == np.add.reduceat(ws, starts).tobytes()

@@ -1,11 +1,12 @@
 """Projections, convolutions, digit splits, products, and spec documents."""
 
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsim import (BudgetError, DyadicHistogram, HomogeneousIfs, Similarity,
@@ -15,6 +16,8 @@ from selfsim import (BudgetError, DyadicHistogram, HomogeneousIfs, Similarity,
                      similarity_dimension, skip_keep, transforms,
                      uniform_weights)
 from selfsim.histogram import _EPS_BASE, _box_range, bin_weighted_intervals
+
+from kernel_oracles import buffered_pair_sums, collecting_bin_cells
 
 
 def _overlap_gap(h_a, h_b):
@@ -350,6 +353,62 @@ def test_convolution_matches_all_pairs_wide_span(u, guard):
     got = _check_matches_all_pairs(h, h, u, 24 - guard)
     assert got.k_max[0] - got.k_min[0] > 1 << 23
     assert np.count_nonzero(got.lower) > 0
+
+
+_GOLDEN = HomogeneousIfs(1, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, sign=1),
+                         np.array([-1.0, 1.0]))
+_NEGATIVE = HomogeneousIfs(1, Similarity(ratio=0.4, sign=-1), np.array([0.0, 0.6]))
+
+
+def _buffered_convolve(h1, h2, u, n_out):
+    """convolve_hist with the two-chunk pair buffer and every output cell
+    binned in one call, as before the per-code sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_pair_sums", buffered_pair_sums)
+        mp.setattr(transforms, "_bin_cells",
+                   lambda chunks, k_min, k_max: collecting_bin_cells(*chunks[0], k_min, k_max))
+        return convolve_hist(h1, h2, u, n_out=n_out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from([("c13", "c14"), ("golden", "golden"), ("golden", "neg"),
+                             ("neg", "c13")]),
+       u=st.sampled_from([1.0, -1.0, 0.7, -1.3, 0.3]), n=st.integers(7, 11),
+       guard=st.integers(0, 3), w=st.floats(0.05, 0.95),
+       cap=st.sampled_from([1 << 23, 300, 0]), chunk=st.sampled_from([1 << 21, 97, 1]))
+def test_convolution_matches_buffered_oracle(pair, u, n, guard, w, cap, chunk):
+    """Adding each chunk of pairs into per-code sums as it forms changes no
+    bit of the buffered folds, on both sides of the dense cap (patched to
+    300 or 0 cells) and with many chunks (97 or 1 pairs, at least a row).
+    The golden factors merge words."""
+    assume(n <= 8 or "golden" not in pair)  # golden levels hold ~2^n cells
+    systems = {"c13": (_CANTOR13, [w, 1.0 - w]), "c14": (_CANTOR14, [1.0 - w, w]),
+               "golden": (_GOLDEN, [0.5, 0.5]), "neg": (_NEGATIVE, [w, 1.0 - w])}
+    h1, h2 = (histogram(*systems[name], n) for name in pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("selfsim.histogram"), "_DENSE_SPAN_CAP", cap)
+        mp.setattr(transforms, "_PAIR_CHUNK", chunk)
+        got = convolve_hist(h1, h2, u, n_out=n - guard)
+        want = _buffered_convolve(h1, h2, u, n - guard)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
+
+
+@pytest.mark.parametrize("u,guard", [(0.5, 1), (-1.5, 2)])
+def test_convolution_wide_span_matches_buffered_oracle(u, guard):
+    """Pair codes above the real dense cap keep the fold every _PAIR_CHUNK
+    pairs, patched small here so that several folds happen."""
+    sparse = HomogeneousIfs(1, Similarity(ratio=0.1, sign=1), np.array([0.0, 0.9]))
+    h = histogram(sparse, uniform_weights(2), 24)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_PAIR_CHUNK", 64)
+        got = convolve_hist(h, h, u, n_out=24 - guard)
+        want = _buffered_convolve(h, h, u, 24 - guard)
+    assert got.k_max[0] - got.k_min[0] > 1 << 23
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
 
 
 def test_skip_keep_oracle(cantor13):
