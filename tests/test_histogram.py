@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      SpecError, cylinder_words, dyadic_depth, entropy_sum,
-                     histogram, moment_sums, uniform_weights)
+                     histogram, moment_sums, project_ifs, uniform_weights)
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
                                _box_range, _flat_code, _merge_close_points,
                                _place_lower, _sorted_sums, _stable_order,
@@ -483,7 +483,6 @@ def test_histogram_peak_memory():
     words are binned a chunk at a time, so the traced peak of the level-12
     histogram of the four-corner set seen along 1 rad stays near that of
     its live words (about 24 MB; collecting every cell first read 64 MB)."""
-    from selfsim.transforms import project_ifs
     ifs, p = project_ifs(HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.0), _CORNERS),
                          uniform_weights(4), 1.0)
     tracemalloc.start()
