@@ -28,6 +28,7 @@ depth-h words are binned behind them a chunk at a time. Settled words thus
 come ahead of the depth-h words in every sum, in the order binning every
 word's ends at once would add them, so the masses are bit for bit the same,
 and memory follows the live words and one chunk, not every word settled.
+Larger boxes keep the settled cells and weights and sum them at the end.
 
 Words of overlapping systems whose partial sums round to one multiple of
 2^-(n+40) are merged after each level. Most levels (all of them for separated
@@ -336,8 +337,9 @@ def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
     wide = [_bin_chunk(lower, upper, k_min, k_max, *chunk) for chunk in chunks]
     if wide:
         d = len(spans)
-        wide = [np.concatenate(part) for part in zip(*wide)]
-        t_lo, widths, w_upper = wide[:d], wide[d:2 * d], wide[2 * d]
+        kept = [np.concatenate(part) for part in zip(*wide)]
+        del wide
+        t_lo, widths, w_upper = kept[:d], kept[d:2 * d], kept[2 * d]
         for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
                                         for w in widths)):
             if not any(offs):
