@@ -12,6 +12,7 @@ exceeded, 4 precision exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -75,7 +76,7 @@ def _emit_histogram(args, measure) -> None:
     idx = hist.indices.reshape(hist.num_cells, -1)
     rows = [(*k, *left, lo, up) for k, left, lo, up in
             zip(idx.tolist(), (idx * hist.cell_width).tolist(),
-                hist.lower, hist.upper)]
+                hist.lower.tolist(), hist.upper.tolist())]
     _emit(args.out, header, rows)
 
 
@@ -120,7 +121,8 @@ def _cmd_fourier(args) -> None:
                         band_ratio=args.band_ratio, xi0=args.xi0,
                         seed=args.seed)
     header = ["xi", "abs_value", "error_bound"]
-    rows = list(zip(profile.xi, profile.abs_value, profile.error_bound))
+    rows = list(zip(profile.xi.tolist(), profile.abs_value.tolist(),
+                    profile.error_bound.tolist()))
     _emit(args.out, header, rows)
     band_path = args.band_out
     if band_path is None and args.out is not None:
@@ -256,7 +258,9 @@ def _add_ek_params(sp):
     sp.add_argument("-o", "--out", default=None)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built on first use and reused by later calls."""
     parser = _Parser(prog="selfsim",
                      description="self-similar measure exploration")
     sub = parser.add_subparsers(dest="subcommand", required=True)

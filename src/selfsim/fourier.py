@@ -92,7 +92,8 @@ def ft_batch(ifs: HomogeneousIfs, p, xi, tol: float = 1e-9):
     a = ifs.translations.astype(float)
     keep, src, sign = _shared_columns(a)
     a_u = a[keep]
-    for n_count in np.unique(n_factors[n_factors > 0]).tolist():
+    # Distinct counts in ascending order; np.unique would import numpy.ma.
+    for n_count in sorted(set(n_factors[n_factors > 0].tolist())):
         rows = np.flatnonzero(n_factors == n_count)
         bounds[rows] = base[rows] * r ** n_count
         ns = np.arange(n_count)

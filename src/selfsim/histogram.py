@@ -24,16 +24,22 @@ monotone, so the inward floors of the ends name the same cell, and the
 weight counts in both masses there. Up to _DENSE_SPAN_CAP cells in the box
 the weight goes straight into one dense float64 sum per cell (_CellSums);
 when expansion ends the upper sums start as a copy of these, and the
-depth-h words are binned behind them a chunk at a time. Settled words thus
-come ahead of the depth-h words in every sum, in the order binning every
-word's ends at once would add them, so the masses are bit for bit the same,
-and memory follows the live words and one chunk, not every word settled.
-Larger boxes keep the settled cells and weights and sum them at the end.
+depth-h words are binned behind them. Settled words thus come ahead of the
+depth-h words in every sum, in the order binning every word's ends at once
+would add them, so the masses are bit for bit the same, and memory follows
+the live words, not every word settled. Larger boxes keep the settled cells
+and weights and sum them at the end.
+
+A level's rows go through the settle test and binning _BLOCK_ROWS at a
+time, in row order, so each float temporary fits in cache rather than
+spanning the level; every per-element expression and every order of
+summation is that of one pass over the level, so blocks move no bit.
 
 Words of overlapping systems whose partial sums round to one multiple of
 2^-(n+40) are merged after each level. Most levels (all of them for separated
 systems) have no two such words, and an unstable sort with a neighbour
-check finds that before the stable sort that groups them is paid for.
+check, of the rounded float keys in 1D and of a hash of the int64 key pair
+in 2D, finds that before the stable sort that groups them is paid for.
 """
 
 from __future__ import annotations
@@ -50,9 +56,12 @@ from .ifs import HomogeneousIfs, cylinder_words
 
 _EPS_BASE = 1e-14
 _DENSE_SPAN_CAP = 1 << 23
-# Rows binned, or cell pairs formed in convolve_hist, per chunk. Above
-# _DENSE_SPAN_CAP the pair stage folds its sums every _PAIR_CHUNK pairs, so
-# the value fixes the bits of those sums.
+# Rows of a level that binning, the settle test and the 2D merge keys work
+# on at a time: a float64 temporary of this many rows (256 KB) stays in L2.
+_BLOCK_ROWS = 1 << 15
+# Cell pairs formed in convolve_hist per chunk. Above _DENSE_SPAN_CAP the
+# pair stage folds its sums every _PAIR_CHUNK pairs, so the value fixes the
+# bits of those sums.
 _PAIR_CHUNK = 1 << 21
 _MERGE_GUARD_BITS = 40
 # Odd multiplier (2^64 over the golden ratio) of the 2D merge keys' hash.
@@ -149,10 +158,13 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
 
     A level usually has no two words with one rounded key (separated
     systems never do), so an unstable sort first checks for equal
-    neighbours: of the keys in 1D, of a wrapped uint64 hash of the key pair
-    in 2D. With none, every group is one row and the inputs come back
-    unchanged. Otherwise the stable sort below groups the rows; a hash
-    collision of distinct pairs only sends a level down that exact path.
+    neighbours: of the rounded keys themselves, sorted as floats in 1D, of
+    a wrapped uint64 hash of the int64 key pair in 2D. Rounded keys are
+    integral floats below 2^62, equal exactly when their int64 casts are.
+    With no equal neighbours every group is one row and the inputs come
+    back unchanged. Otherwise the stable sort below groups the rows by
+    their int64 keys; a hash collision of distinct pairs only sends a
+    level down that exact path.
     """
     if centers.shape[0] < 4096:
         return centers, weights
@@ -160,18 +172,20 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
     mx = max(float(centers.max()), -float(centers.min()))
     if mx * scale >= 2.0 ** 62:
         return centers, weights
-    keys = centers * scale
-    np.round(keys, out=keys)
-    keys = keys.astype(np.int64)
     if centers.ndim == 1:
-        probe = np.sort(keys)
+        probe = centers * scale
+        np.round(probe, out=probe)
+        probe.sort()
     else:
+        keys = _int_keys(centers, scale)
         pair = keys.view(np.uint64)
         probe = pair[:, 0] * np.uint64(_PAIR_HASH)
         probe += pair[:, 1]
         probe.sort()
     if not np.any(probe[1:] == probe[:-1]):
         return centers, weights
+    if centers.ndim == 1:
+        keys = _int_keys(centers, scale)
     order = (np.argsort(keys, kind="stable") if centers.ndim == 1
              else np.lexsort((keys[:, 1], keys[:, 0])))
     ks = keys[order]
@@ -185,6 +199,20 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
     merged_w = np.add.reduceat(w_sorted, starts)
     merged_c = centers[order[starts]]
     return merged_c, merged_w
+
+
+def _int_keys(centers: np.ndarray, scale: float) -> np.ndarray:
+    """round(centers * scale) as int64, formed _BLOCK_ROWS rows at a time."""
+    keys = np.empty(centers.shape, np.int64)
+    for rows in _row_blocks(centers.shape[0]):
+        t = centers[rows] * scale
+        keys[rows] = np.round(t, out=t)
+    return keys
+
+
+def _row_blocks(count: int):
+    """Slices of _BLOCK_ROWS consecutive rows covering range(count)."""
+    return (slice(s, s + _BLOCK_ROWS) for s in range(0, count, _BLOCK_ROWS))
 
 
 class _CellSums:
@@ -214,17 +242,24 @@ class _CellSums:
             self.parts, self.pending = [self.sums()], 0
 
     def copy(self) -> _CellSums:
-        """Sums that go on from these; the added arrays are shared, not copied."""
+        """Sums that go on from these; the added arrays are shared, not copied.
+
+        Dense sums copy only their nonzero cells into fresh zeros, so the
+        pages of a mostly empty box stay untouched until written. A masked
+        copy costs a fraction of np.flatnonzero over a sparse box.
+        """
         other = copy.copy(self)
         other.parts = list(self.parts)
         if self.dense is not None:
-            other.dense = self.dense.copy()
+            other.dense = np.zeros(self.span)
+            np.copyto(other.dense, self.dense, where=self.dense != 0.0)
         return other
 
     def sums(self):
         """(codes, sums) sorted by code; the dense sums leave out zeros."""
         if self.dense is not None:
-            nz = np.flatnonzero(self.dense)
+            # np.nonzero of a bool mask is several times faster than of floats.
+            nz = np.flatnonzero(self.dense != 0.0)
             return nz, self.dense[nz]
         if not self.parts:
             return np.empty(0, np.int64), np.empty(0)
@@ -270,8 +305,9 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
     scalar k_min, k_max, or (K, d) for boxes with one bound per axis.
     w_lower feeds the lower mass of the cell containing an enclosure on
     every axis, w_upper the upper mass of every cell it touches.
-    Enclosures are binned _PAIR_CHUNK at a time (see _bin_cells), so
-    memory follows one chunk, not every enclosure.
+    Enclosures are binned _BLOCK_ROWS at a time (see _bin_cells), so the
+    temporaries of one block stay in cache, and memory follows one block
+    and the rows wider than one cell, not every enclosure.
 
     sums, when given, holds the per-cell sums over the box's flat codes
     (see _flat_code) of weights already known to lie in one cell:
@@ -290,8 +326,7 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
         return np.floor(t, out=t).astype(np.int64)
 
     def chunks():
-        for start in range(0, w_upper.shape[0], _PAIR_CHUNK):
-            rows = slice(start, start + _PAIR_CHUNK)
+        for rows in _row_blocks(w_upper.shape[0]):
             # Rows of the transposed (1, K) or (d, K) views are per-axis
             # coordinates.
             axes = list(zip(np.atleast_2d(e_lo[rows].T), np.atleast_2d(e_hi[rows].T)))
@@ -299,8 +334,6 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
             for lo, hi in axes:
                 low.append(cell(lo, eps))
                 contained = contained & (low[-1] == cell(hi, -eps))
-            # The contained rows' cells replace the chunk's before the
-            # touched cells are formed, so fewer chunk-sized arrays coexist.
             low = [c[contained] for c in low]
             yield (low, w_lower[rows][contained], [cell(lo, -eps) for lo, _ in axes],
                    [cell(hi, eps) for _, hi in axes], w_upper[rows])
@@ -321,11 +354,12 @@ def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
     The masses are added as each chunk comes, in the order binning every
     row at once adds them, so chunking moves no bit. The lower sums take
     the contained rows. The upper sums take offset 0 from the first cell
-    on every axis for all rows, then each nonzero offset in
-    itertools.product order for the rows at least that wide; only rows
-    wider than one cell are kept for that until the last chunk. Up to
-    _DENSE_SPAN_CAP cells each weight goes into a dense sum as it comes.
-    Above the cap the codes are kept and summed once at the end, as when
+    on every axis for all rows, then, after the last chunk, each nonzero
+    offset in itertools.product order for the rows at least that wide,
+    chunk by chunk; only each chunk's rows wider than one cell are kept
+    for that. Up to _DENSE_SPAN_CAP cells each weight goes into a dense
+    sum as it comes. Above the cap the codes are kept and summed once at
+    the end, as when
     every row was binned at once: those sums use np.add.reduceat, which
     adds pairwise, so folding each chunk would regroup the terms and move
     bits. Returns (indices, lower, upper) over the cells with positive
@@ -335,15 +369,13 @@ def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
     lower = sums if sums is not None else _CellSums(math.prod(spans))
     upper = lower.copy()
     wide = [_bin_chunk(lower, upper, k_min, k_max, *chunk) for chunk in chunks]
-    if wide:
-        d = len(spans)
-        kept = [np.concatenate(part) for part in zip(*wide)]
-        del wide
-        t_lo, widths, w_upper = kept[:d], kept[d:2 * d], kept[2 * d]
-        for offs in itertools.product(*(range(int(w.max()) + 1 if w.size else 0)
-                                        for w in widths)):
-            if not any(offs):
-                continue
+    # The widest row on each axis bounds the offsets.
+    reach = [max([int(widths[a].max(initial=0)) for _, widths, _ in wide], default=0) + 1
+             for a in range(len(spans))]
+    for offs in itertools.product(*(range(r) for r in reach)):
+        if not any(offs):
+            continue
+        for t_lo, widths, w_upper in wide:
             mask = widths[0] >= offs[0]
             for w, off in zip(widths[1:], offs[1:]):
                 mask &= w >= off
@@ -363,8 +395,9 @@ def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, low_cells: list
                low_w: np.ndarray, t_lo: list, t_hi: list, w_upper: np.ndarray):
     """Add one chunk's lower masses and its upper masses at offset 0.
 
-    Returns the per-axis cells in the box and widths, then the w_upper,
-    of the rows wider than one cell on some axis, for the other offsets.
+    Returns (t_lo, widths, w_upper) of the rows wider than one cell on
+    some axis, for the other offsets: per-axis cells in the box, per-axis
+    widths in cells and the weights.
     """
     spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
     lower.add(_flat_code(_to_box(low_cells, k_min, k_max), spans), low_w)
@@ -373,7 +406,7 @@ def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, low_cells: list
     for lo, w in zip(t_lo, widths):
         w -= lo
     wide = np.logical_or.reduce([w > 0 for w in widths])
-    return [a[wide] for a in (*t_lo, *widths, w_upper)]
+    return [lo[wide] for lo in t_lo], [w[wide] for w in widths], w_upper[wide]
 
 
 def _to_box(cells: list, k_min, k_max) -> list:
@@ -442,22 +475,25 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
         # left at depth h are binned by their ends.
         if depth == h or 2.0 * (rho + eps) * scale >= 1.0:
             return centers, weights
-        # floor((c - rho - eps) 2^n) and floor((c + rho + eps) 2^n), in place.
-        c = centers + ifs.apply_power(depth, zs)
-        lo = c - rho
-        lo -= eps
-        lo *= scale
-        np.floor(lo, out=lo)
-        c += rho
-        c += eps
-        c *= scale
-        np.floor(c, out=c)
-        one_cell = lo == c
-        done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
-        cells = lo[done].astype(np.int64)
-        settled.add(_flat_code(_to_box(list(np.atleast_2d(cells.T)), k0, k1), spans),
-                    weights[done])
-        keep = ~done
+        shift = ifs.apply_power(depth, zs)
+        keep = np.empty(weights.shape[0], dtype=bool)
+        for rows in _row_blocks(weights.shape[0]):
+            # floor((c - rho - eps) 2^n) and floor((c + rho + eps) 2^n), in place.
+            c = centers[rows] + shift
+            lo = c - rho
+            lo -= eps
+            lo *= scale
+            np.floor(lo, out=lo)
+            c += rho
+            c += eps
+            c *= scale
+            np.floor(c, out=c)
+            one_cell = lo == c
+            done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
+            cells = lo[done].astype(np.int64)
+            settled.add(_flat_code(_to_box(list(np.atleast_2d(cells.T)), k0, k1), spans),
+                        weights[rows][done])
+            np.logical_not(done, out=keep[rows])
         return centers[keep], weights[keep]
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)

@@ -3,10 +3,14 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import selfsim
 from selfsim.cli import _build_parser, main
 
 C13 = {"ambient_dim": 1, "ratio": 1 / 3, "sign": 1,
@@ -312,3 +316,27 @@ def test_fourier_convolution(specs, tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# Subcommands run in one process, a usage error and a bad spec among them.
+IN_ONE_PROCESS = [["check", "--ifs", "{c13}", "--n", "6"],
+                  ["dim", "--ifs", "{c13}", "--levels", "banana"],
+                  ["project", "--ifs", "{four}", "--beta", "1.0", "--n", "5"],
+                  ["nonsense"],
+                  ["entropy", "--ifs", "{golden}", "--levels", "4..7"],
+                  ["dim", "--ifs", "{c13}", "--q", "1"],
+                  ["ekcount", "translations", "--N", "6", "--theta", "1.5"]]
+
+
+def test_parser_reuse_matches_fresh_processes(specs, capsys):
+    """The parser is built once per process; later calls, after a usage
+    error too, write the bytes and exit codes of fresh-process runs."""
+    assert _build_parser() is _build_parser()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selfsim.__file__)))
+    for argv in IN_ONE_PROCESS:
+        argv = [a.format(**specs) for a in argv]
+        code = main(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "selfsim.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

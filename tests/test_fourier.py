@@ -1,12 +1,16 @@
 """Transform evaluation against closed forms, and decay fitting."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selfsim
 from selfsim import (BudgetError, ConvolvedMeasure, HomogeneousIfs,
                      PrecisionError, ProjectedMeasure, SelfSimilarMeasure,
                      Similarity, SpecError, decay_fit, fourier, ft_eval,
@@ -518,3 +522,20 @@ def test_factor_counts_match_scalar_formula(r, tol, seed):
     want = [math.ceil(math.log(tol / b) / math.log(r)) if b > tol else 0
             for b in bases.tolist()]
     assert _factor_counts(bases, r, tol).tolist() == want
+
+
+def test_ft_batch_leaves_numpy_ma_unimported():
+    """Grouping samples by factor count imports nothing: np.unique would
+    load numpy.ma (tens of ms on a fresh process)."""
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from selfsim import HomogeneousIfs, Similarity\n"
+              "from selfsim.fourier import ft_batch\n"
+              "ifs = HomogeneousIfs(1, Similarity(ratio=0.5, sign=1), np.array([-1.0, 1.0]))\n"
+              "values, _ = ft_batch(ifs, np.array([0.5, 0.5]), np.geomspace(0.1, 1e4, 64))\n"
+              "assert values.size == 64\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selfsim.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]

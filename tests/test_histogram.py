@@ -1,5 +1,6 @@
 """Certified dyadic histograms: sandwich bounds, moments, entropy sums."""
 
+import copy
 import importlib
 import itertools
 import math
@@ -15,7 +16,7 @@ from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      SpecError, cylinder_words, dyadic_depth, entropy_sum,
                      histogram, moment_sums, project_ifs, uniform_weights)
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
-                               _box_range, _flat_code, _merge_close_points,
+                               _box_range, _CellSums, _flat_code, _merge_close_points,
                                _place_lower, _sorted_sums, _stable_order,
                                bin_weighted_intervals)
 
@@ -410,14 +411,22 @@ def test_histogram_bit_identical_to_oracles(system, n, extra_depth):
     assert np.array_equal(hist.upper, upper)
 
 
-@pytest.mark.parametrize("ifs,n,extra_depth", [
-    (HomogeneousIfs(1, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, sign=1),
-                    np.array([-1.0, 1.0])), 14, 4),
-    (HomogeneousIfs(2, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, alpha=0.5),
-                    np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])), 7, 1)],
-    ids=["golden-14", "half-turn-7"])
-def test_merging_histograms_bit_identical(ifs, n, extra_depth, monkeypatch):
-    """Deep levels of both merging systems, where most calls merge rows."""
+_GOLDEN_BC = HomogeneousIfs(1, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, sign=1),
+                            np.array([-1.0, 1.0]))
+_HALF_TURN = HomogeneousIfs(2, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, alpha=0.5),
+                            np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("ifs,n,extra_depth,block", [
+    (_GOLDEN_BC, 14, 4, 1 << 15), (_HALF_TURN, 7, 1, 1 << 15),
+    (_GOLDEN_BC, 14, 4, 7), (_HALF_TURN, 7, 1, 7)],
+    ids=["golden-14", "half-turn-7", "golden-14-block-7", "half-turn-7-block-7"])
+def test_merging_histograms_bit_identical(ifs, n, extra_depth, block, monkeypatch):
+    """Deep levels of both merging systems, where most calls merge rows,
+    against the oracle at the default block size; blocks of 7 rows run
+    the settle test, the 2D merge keys and binning in many."""
+    p = uniform_weights(ifs.m)
+    idx, lower, upper = _ends_histogram(ifs, p, n, extra_depth)
     merging = []
 
     def counted(centers, weights, quantum):
@@ -426,10 +435,9 @@ def test_merging_histograms_bit_identical(ifs, n, extra_depth, monkeypatch):
         return out
 
     # selfsim.histogram is the function; the module is reached by name.
-    monkeypatch.setattr(importlib.import_module("selfsim.histogram"),
-                        "_merge_close_points", counted)
-    p = uniform_weights(ifs.m)
-    idx, lower, upper = _ends_histogram(ifs, p, n, extra_depth)
+    module = importlib.import_module("selfsim.histogram")
+    monkeypatch.setattr(module, "_merge_close_points", counted)
+    monkeypatch.setattr(module, "_BLOCK_ROWS", block)
     hist = histogram(ifs, p, n, extra_depth=extra_depth)
     assert sum(merging) >= 3
     assert np.array_equal(hist.indices, idx)
@@ -450,19 +458,20 @@ def _assert_matches_collecting(ifs, p, n, extra_depth):
 
 @settings(max_examples=60, deadline=None)
 @given(system=_oracle_systems(), n=st.integers(3, 12), extra_depth=st.integers(0, 5),
-       cap=st.sampled_from([1 << 23, 200, 0]), chunk=st.sampled_from([1 << 21, 500, 7]))
-def test_histogram_matches_collecting_oracle(system, n, extra_depth, cap, chunk):
-    """Adding settled words into per-cell sums as they settle and binning
-    the depth-h words chunk by chunk change no bit of collecting every
-    cell and weight first. A cap of 200 or 0 cells sends small boxes
-    above it (sorted sums), and chunks of 500 or 7 rows bin in many."""
+       cap=st.sampled_from([1 << 23, 200, 0]), block=st.sampled_from([1 << 15, 500, 7]))
+def test_histogram_matches_collecting_oracle(system, n, extra_depth, cap, block):
+    """Adding settled words into per-cell sums as they settle, block by
+    block, and binning the depth-h words block by block change no bit of
+    collecting every cell and weight first. A cap of 200 or 0 cells sends
+    small boxes above it (sorted sums), and blocks of 500 or 7 rows run
+    the settle test and binning in many."""
     ifs, p = system
     assume(_oracle_size_ok(ifs, n, extra_depth))
-    if chunk < 500:
+    if block < 500:
         assume(ifs.ratio > 0.5 or ifs.m ** dyadic_depth(ifs, n, extra_depth) <= 2 ** 12)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(HISTOGRAM, "_DENSE_SPAN_CAP", cap)
-        mp.setattr(HISTOGRAM, "_PAIR_CHUNK", chunk)
+        mp.setattr(HISTOGRAM, "_BLOCK_ROWS", block)
         _assert_matches_collecting(ifs, p, n, extra_depth)
 
 
@@ -479,10 +488,11 @@ def test_rotating_histogram_matches_collecting_oracle(n, extra_depth):
 
 
 def test_histogram_peak_memory():
-    """Settled words go into per-cell sums as they settle and the depth-h
-    words are binned a chunk at a time, so the traced peak of the level-12
-    histogram of the four-corner set seen along 1 rad stays near that of
-    its live words (about 24 MB; collecting every cell first read 64 MB)."""
+    """Settled words go into per-cell sums as they settle, and the settle
+    test and binning work on blocks of rows, so the traced peak of the
+    level-12 histogram of the four-corner set seen along 1 rad stays near
+    that of its live words (about 15 MB; level-sized temporaries read
+    24 MB, and collecting every cell first 64 MB)."""
     ifs, p = project_ifs(HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.0), _CORNERS),
                          uniform_weights(4), 1.0)
     tracemalloc.start()
@@ -491,23 +501,27 @@ def test_histogram_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
-       rows=st.integers(4096, 9000), distinct=st.integers(2, 20000))
-def test_merge_matches_sorting_merge(seed, dim, rows, distinct):
+       rows=st.integers(4096, 9000), distinct=st.integers(2, 20000),
+       block=st.sampled_from([1 << 15, 7]))
+def test_merge_matches_sorting_merge(seed, dim, rows, distinct, block):
     """Rows drawn from a small set of points (plus sub-quantum noise) merge
-    exactly as the merge that always sorts does, and inputs without
-    duplicates come back as the same objects."""
+    exactly as the merge that always sorts does, with the int64 keys formed
+    in one block or in blocks of 7 rows, and inputs without duplicates come
+    back as the same objects."""
     rng = np.random.default_rng(seed)
     quantum = 2.0 ** -30
     shape = (rows,) if dim == 1 else (rows, 2)
     centers = rng.integers(-distinct, distinct, size=shape) * 2.0 ** -10
     centers += rng.uniform(-0.25, 0.25, size=shape) * quantum
     weights = rng.uniform(0.1, 1.0, size=rows)
-    got_c, got_w = _merge_close_points(centers, weights, quantum)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HISTOGRAM, "_BLOCK_ROWS", block)
+        got_c, got_w = _merge_close_points(centers, weights, quantum)
     want_c, want_w = _sorting_merge(centers, weights, quantum)
     assert np.array_equal(got_c, want_c)
     assert np.array_equal(got_w, want_w)
@@ -652,6 +666,26 @@ def test_stable_order_is_stable_argsort(span, size, distinct, seed):
     codes = rng.choice(pool, size=size)
     assert np.array_equal(_stable_order(codes, span),
                           np.argsort(codes, kind="stable"))
+
+
+def test_dense_copy_keeps_sum_bits():
+    """Copying only the occupied cells of dense sums gives the bits of a
+    full copy, and the copy goes on taking adds like one, apart from the
+    sums it came from."""
+    rng = np.random.default_rng(6)
+    span = 1 << 20
+    sums = _CellSums(span)
+    sums.add(rng.integers(0, span, size=3000), rng.random(3000))
+    before = sums.dense.tobytes()
+    full = copy.copy(sums)
+    full.dense = sums.dense.copy()
+    part = sums.copy()
+    assert part.dense.tobytes() == full.dense.tobytes()
+    codes, weights = rng.integers(0, span, size=4000), rng.random(4000)
+    for other in (full, part):
+        other.add(codes, weights)
+    assert part.dense.tobytes() == full.dense.tobytes()
+    assert sums.dense.tobytes() == before
 
 
 def test_sparse_aggregate_keeps_sum_bits():
