@@ -30,13 +30,22 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _emit(path: str | None, header: list, rows: list) -> None:
-    """Write a CSV table; each column keeps the type of its first row."""
+def _emit(path: str | None, header: list, columns: list) -> None:
+    """Write a CSV table from one sequence per column, all of one length.
+
+    Each column keeps the type of its first element: str and int print as
+    they are, anything else as %.17g. The columns are interleaved into one
+    flat list and formatted with one % operation.
+    """
     text = ",".join(header) + "\n"
+    rows = len(columns[0])
     if rows:
-        fmt = ",".join("%s" if isinstance(c, (str, int)) else "%.17g"
-                       for c in rows[0]) + "\n"
-        text += (fmt * len(rows)) % tuple(c for row in rows for c in row)
+        fmt = ",".join("%s" if isinstance(col[0], (str, int)) else "%.17g"
+                       for col in columns) + "\n"
+        flat = [None] * (rows * len(columns))
+        for j, col in enumerate(columns):
+            flat[j::len(columns)] = col
+        text += (fmt * rows) % tuple(flat)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -73,11 +82,10 @@ def _emit_histogram(args, measure) -> None:
     axes = [""] if hist.ambient_dim == 1 else ["_x", "_y"]
     header = ([f"cell_index{a}" for a in axes] + [f"cell_left{a}" for a in axes]
               + ["lower_mass", "upper_mass"])
-    idx = hist.indices.reshape(hist.num_cells, -1)
-    rows = [(*k, *left, lo, up) for k, left, lo, up in
-            zip(idx.tolist(), (idx * hist.cell_width).tolist(),
-                hist.lower.tolist(), hist.upper.tolist())]
-    _emit(args.out, header, rows)
+    idx = hist.indices.reshape(hist.num_cells, -1).T
+    _emit(args.out, header,
+          [k.tolist() for k in idx] + [(k * hist.cell_width).tolist() for k in idx]
+          + [hist.lower.tolist(), hist.upper.tolist()])
 
 
 def _cmd_dim(args) -> None:
@@ -91,14 +99,17 @@ def _cmd_dim(args) -> None:
     hists = _measure_levels(measure, n_min, n_max, args)
     table = table_from_histograms(hists, q_list)
     header = ["q", "n", "S_lower", "S_upper", "slope_fit", "D_lo", "D_hi"]
-    rows = []
+    columns = [[] for _ in header]
+    m = len(table.levels)
     for q in q_list:
         est = estimate_Dq(table, q)
         j = table.q_index(q)
-        for i, n in enumerate(table.levels):
-            rows.append((q, int(n), table.s_lower[i, j], table.s_upper[i, j],
-                         est.point, est.lo, est.hi))
-    _emit(args.out, header, rows)
+        for col, values in zip(columns, (
+                [q] * m, table.levels, table.s_lower[:, j].tolist(),
+                table.s_upper[:, j].tolist(), [est.point] * m, [est.lo] * m,
+                [est.hi] * m)):
+            col += values
+    _emit(args.out, header, columns)
 
 
 def _cmd_entropy(args) -> None:
@@ -108,10 +119,10 @@ def _cmd_entropy(args) -> None:
     table = table_from_histograms(hists, [2.0])
     est = estimate_D1(table)
     header = ["n", "H_lower", "H_upper", "slope_fit", "D_lo", "D_hi"]
-    rows = [(int(n), table.h_lower[i], table.h_upper[i],
-             est.point, est.lo, est.hi)
-            for i, n in enumerate(table.levels)]
-    _emit(args.out, header, rows)
+    m = len(table.levels)
+    _emit(args.out, header,
+          [table.levels, table.h_lower.tolist(), table.h_upper.tolist(),
+           [est.point] * m, [est.lo] * m, [est.hi] * m])
 
 
 def _cmd_fourier(args) -> None:
@@ -121,15 +132,15 @@ def _cmd_fourier(args) -> None:
                         band_ratio=args.band_ratio, xi0=args.xi0,
                         seed=args.seed)
     header = ["xi", "abs_value", "error_bound"]
-    rows = list(zip(profile.xi.tolist(), profile.abs_value.tolist(),
-                    profile.error_bound.tolist()))
-    _emit(args.out, header, rows)
+    _emit(args.out, header, [profile.xi.tolist(), profile.abs_value.tolist(),
+                             profile.error_bound.tolist()])
     band_path = args.band_out
     if band_path is None and args.out is not None:
         band_path = args.out + ".bands.csv"
-    band_rows = [(int(k), bm, profile.sigma_hat)
-                 for k, bm in enumerate(profile.band_max)]
-    _emit(band_path, ["band_k", "band_max", "fitted_sigma"], band_rows)
+    bands = len(profile.band_max)
+    _emit(band_path, ["band_k", "band_max", "fitted_sigma"],
+          [list(range(bands)), profile.band_max.tolist(),
+           [profile.sigma_hat] * bands])
 
 
 def _cmd_project(args) -> None:
@@ -175,23 +186,21 @@ def _cmd_ekscan(args) -> None:
     primary = {"translations": spec.lam, "projections": spec.theta,
                "convolutions": spec.theta1}[args.kind]
     _emit(args.out, ["parameter", "badness", "witness_t"],
-          [(primary, rep.badness, rep.witness_t)])
+          [[primary], [rep.badness], [rep.witness_t]])
 
 
 def _cmd_ekcount(args) -> None:
     rep = ek_count_sequences(args.kind, args.N, args.c, args.delta,
                              theta=args.theta, theta1=args.theta1)
-    header = ["N", "count", "log_count_over_N"]
-    rows = [(int(n), int(cnt), rate)
-            for n, cnt, rate in zip(rep.ns, rep.counts, rep.rates)]
-    _emit(args.out, header, rows)
+    _emit(args.out, ["N", "count", "log_count_over_N"],
+          [rep.ns, rep.counts, rep.rates])
 
 
 def _cmd_sweep(args) -> None:
     fixed = _ek_fixed_params(args, args.kind, exclude=args.vary)
     rows = ek_sweep(args.kind, fixed, args.vary, args.lo, args.hi, args.steps,
                     args.N, args.c, t_grid=args.t_grid, jobs=args.jobs)
-    _emit(args.out, ["parameter", "badness", "witness_t"], rows)
+    _emit(args.out, ["parameter", "badness", "witness_t"], list(zip(*rows)))
 
 
 def _cmd_check(args) -> None:
@@ -222,7 +231,7 @@ def _cmd_check(args) -> None:
     ok = (t_lo <= 1.0 + 1e-9) and (t_up >= 1.0 - 1e-9)
     rows.append(("sandwich", "pass" if ok else "fail",
                  f"n={args.n}; lower={_fmt(t_lo)}; upper={_fmt(t_up)}"))
-    _emit(args.out, ["check_name", "status", "detail"], rows)
+    _emit(args.out, ["check_name", "status", "detail"], list(zip(*rows)))
 
 
 class _Parser(argparse.ArgumentParser):

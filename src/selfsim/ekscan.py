@@ -7,17 +7,20 @@ bound for the true supremum over t, since the grid can only miss maxima.
 Pisot-type ratios drive the badness toward 1 while generic ratios stay
 low, which is the phenomenon the scanners quantify.
 
-The sequence counters (ek_count_sequences) search level by level over
-whole arrays. A level is a frontier of states, each a packed int64 key
-(the last term, or the last two for translations) with the minimal bad
-count per trailing flag as int8. All states expand to their candidate
-ranges at once, the float comparisons of a one-at-a-time search decide
-admissibility, and equal keys merge by sort and minimum. States of
-lengths below N (from 2 for translations) are nodes; once their total
-exceeds _NODE_BUDGET the search raises BudgetError, saying how many it
-needed by which length. Terms must keep the centres exact in float64:
-|K| < 2^26 where K^2 appears (translations), |theta1 K| < 2^52
-otherwise; beyond that the counters raise PrecisionError.
+The sequence counters (ek_count_sequences) search length by length over
+arrays. A length is a frontier of states, each a packed int64 key (the
+last term, or the last two for translations) with the minimal bad count
+per trailing flag as int8. The parents expand in fixed slices of about
+_CANDIDATE_SLICE candidates, the float comparisons of a one-at-a-time
+search decide admissibility, and equal keys merge by sort and minimum,
+in batches of _MERGE_BATCH pending children and at the end of the
+length. At the last length a child lives exactly when it counts, so
+only the keys are kept and the count is the number of distinct ones.
+States of lengths below N (from 2 for translations) are nodes; once
+their total exceeds _NODE_BUDGET the search raises BudgetError, saying
+how many it needed by which length. Terms must keep the centres exact
+in float64: |K| < 2^26 where K^2 appears (translations), |theta1 K| <
+2^52 otherwise; beyond that the counters raise PrecisionError.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ _COUNT_N_CAP = 22
 _NODE_BUDGET = 5_000_000
 # t-grid entries (grid points x indices) ek_badness tests at once.
 _GRID_CHUNK = 1 << 15
-# Candidate sequences the counters form at once.
-_CANDIDATE_CHUNK = 1 << 21
+# Candidate sequences the counters form at once (one slice of parents).
+_CANDIDATE_SLICE = 1 << 15
+# Pending children that make the counters merge within a length.
+_MERGE_BATCH = 1 << 21
 # Translation states pack (K_n, K_{n+1}) into one int64, each term biased
 # by 2^26 into 27 bits; |K| < 2^26 also keeps K^2 exact in float64.
 _EXACT_SQUARE = 1 << 26
@@ -273,11 +278,23 @@ def _merge(keys: np.ndarray, bad: np.ndarray):
     """One state per key with the slot-wise minimal counts, keys sorted."""
     order = np.argsort(keys)
     keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_first_of_runs(keys))
     bad = np.take(bad, order, axis=1)
     return keys[starts], np.minimum.reduceat(bad, starts, axis=1)
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the sorted keys that differ from their left neighbour."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted; keys itself is sorted in place."""
+    keys.sort()
+    return keys[_first_of_runs(keys)]
 
 
 def _charge(nodes: int, states: int, n: int) -> None:
@@ -295,49 +312,60 @@ def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
     A parent's candidates are the integers within half + 1e-12 of its
     centre, at float distance gap from it; moves, slots and max_bad go to
     _relax, and keys_of(rows, values) turns the admissible candidates
-    (parent rows, new last terms) into int64 keys. Parents are expanded in
-    slices of about _CANDIDATE_CHUNK candidates, and pending children are
-    merged once they outnumber the merged ones. Below the last length the
-    children are nodes still to be expanded: they are also merged once
-    they could pass the budget room left, and every merge charges them on
-    top of nodes (None at the last length), so a level raises within one
-    slice of the budget.
+    (parent rows, new last terms) into int64 keys. No parent has more
+    than floor(2 half + 2e-12) + 1 candidates, so parents are expanded in
+    fixed slices of about _CANDIDATE_SLICE candidates, and only a slice's
+    parents and candidates are held at once. Pending children are merged
+    once they reach max(merged keys, _MERGE_BATCH), at the end of the
+    length, and, below the last length, once they could pass the budget
+    room left: there the children are nodes still to be expanded, and
+    every merge charges them on top of nodes, so a length raises within
+    one slice of the budget.
+
+    At the last length (nodes None) _relax already clamps with
+    floor(delta n), so a child is live exactly when it counts: only its
+    key is kept, and the keys merge to the distinct ones. Returns the
+    sorted keys and their counts, None at the last length.
     """
-    lo = np.ceil(centre - half - 1e-12).astype(np.int64)
-    hi = np.floor(centre + half + 1e-12).astype(np.int64)
-    sizes = hi - lo + 1
-    ends = np.cumsum(sizes)
-    offset = lo - (ends - sizes)  # candidate value minus its position
-    keys, merged = np.empty(0, dtype=np.int64), np.empty((slots, 0), dtype=np.int8)
+    step = max(1, _CANDIDATE_SLICE // (math.floor(2.0 * half + 2e-12) + 1))
+    keys = np.empty(0, dtype=np.int64)
+    merged = None if nodes is None else np.empty((slots, 0), dtype=np.int8)
     pending_keys, pending_bad, pending = [], [], 0
-    start = 0
-    while start < lo.size:
-        first = int(ends[start] - sizes[start])
-        stop = max(start + 1, int(np.searchsorted(
-            ends, first + _CANDIDATE_CHUNK, side="right")))
-        rows = np.repeat(np.arange(start, stop), sizes[start:stop])
-        values = (np.arange(first, int(ends[stop - 1]))
-                  + np.repeat(offset[start:stop], sizes[start:stop]))
+    for start in range(0, centre.size, step):
+        stop = min(start + step, centre.size)
+        lo = np.ceil(centre[start:stop] - half - 1e-12).astype(np.int64)
+        sizes = np.floor(centre[start:stop] + half + 1e-12).astype(np.int64) - lo + 1
+        rows = np.repeat(np.arange(start, stop), sizes)
+        # Each candidate value is its position in the slice plus its
+        # parent's lo minus the parent's first position.
+        values = np.arange(rows.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
         child = _relax(np.take(bad, rows, axis=1),
                        np.abs(values - centre[rows]), moves, slots, inf, max_bad)
         live = child.min(axis=0) < inf
         pending_keys.append(keys_of(rows[live], values[live]))
-        pending_bad.append(np.compress(live, child, axis=1))
         pending += pending_keys[-1].size
-        start = stop
-        if (pending >= max(keys.size, _CANDIDATE_CHUNK) or start == lo.size
+        if merged is not None:
+            pending_bad.append(np.compress(live, child, axis=1))
+        if not (pending >= max(keys.size, _MERGE_BATCH) or stop == centre.size
                 or (nodes is not None
                     and keys.size + pending > _NODE_BUDGET - nodes)):
+            continue
+        if merged is None:
+            keys = _distinct(np.concatenate([keys] + pending_keys))
+        else:
             keys, merged = _merge(np.concatenate([keys] + pending_keys),
                                   np.concatenate([merged] + pending_bad, axis=1))
-            pending_keys, pending_bad, pending = [], [], 0
-            if nodes is not None:
-                _charge(nodes, keys.size, n)
+            _charge(nodes, keys.size, n)
+        pending_keys, pending_bad, pending = [], [], 0
     return keys, merged
 
 
-def _count(bad: np.ndarray, delta: float, n: int) -> int:
-    """States whose best flag assignment has at most floor(delta n) bad indices."""
+def _count(keys: np.ndarray, bad, delta: float, n: int) -> int:
+    """States whose best flag assignment has at most floor(delta n) bad
+    indices; every state counts where bad is None (the last length, see
+    _children)."""
+    if bad is None:
+        return keys.size
     return int(np.count_nonzero(bad.min(axis=0) <= math.floor(delta * n + 1e-9)))
 
 
@@ -404,15 +432,14 @@ def _count_convolutions(theta1: float, N: int, c: float, delta: float) -> list:
     _exact_centres(theta1, terms)
     _charge(0, terms.size, 1)
     nodes = terms.size
-    for n in range(1, N + 1):
-        counts[n] = _count(bad, delta, n)
-        if n == N:
-            break
+    for n in range(1, N):
+        counts[n] = _count(terms, bad, delta, n)
         terms, bad = _children(
             theta1 * terms, theta1 * 0.5 + 0.5, bad, moves, 2, inf, max_bad,
             lambda rows, values: _exact_centres(theta1, values),
             nodes if n + 1 < N else None, n + 1)
         nodes += terms.size
+    counts[N] = _count(terms, bad, delta, N)
     return counts
 
 
@@ -432,14 +459,14 @@ def _count_translations(theta: float, N: int, c: float, delta: float) -> list:
 
     k1, bad = _first_frontier(theta, w, inf)
     _exact_squares(k1)
-    counts[1] = _count(bad, delta, 1)
+    counts[1] = _count(k1, bad, delta, 1)
     moves = [(g1, g1 * 2 + g2, g2, theta * w[g1] + w[g2] + 1e-12)
              for g2 in (0, 1) for g1 in (0, 1)]
     keys, bad = _children(
         theta * k1, theta * 0.5 + 0.5, bad, moves, 4, inf, max_bad,
         lambda rows, values: _pack_pairs(k1[rows], values), 0, 2)
     nodes = keys.size
-    counts[2] = _count(bad, delta, 2)
+    counts[2] = _count(keys, bad, delta, 2)
 
     wmax = theta * theta * 0.5 + 2 * theta * 0.5 + 0.5
     moves = [(g1 * 2 + g2, g2 * 2 + g3, g3,
@@ -457,7 +484,7 @@ def _count_translations(theta: float, N: int, c: float, delta: float) -> list:
             lambda rows, values: _pack_pairs(k2[rows], values),
             nodes if n < N else None, n)
         nodes += keys.size
-        counts[n] = _count(bad, delta, n)
+        counts[n] = _count(keys, bad, delta, n)
     return counts
 
 

@@ -298,11 +298,14 @@ def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
 def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
                            w_lower: np.ndarray, w_upper: np.ndarray,
                            n: int, k_min, k_max, eps: float,
-                           sums: _CellSums | None = None):
+                           sums: _CellSums | None = None, radius: float = 0.0):
     """Bin weighted intervals or boxes into level-n dyadic cells of a box.
 
-    e_lo and e_hi hold the enclosure ends, shape (K,) for intervals with
-    scalar k_min, k_max, or (K, d) for boxes with one bound per axis.
+    Row i encloses [e_lo[i] - radius, e_hi[i] + radius], shape (K,) for
+    intervals with scalar k_min, k_max, or (K, d) for boxes with one bound
+    per axis; histogram() passes its centres as both ends, with the ball
+    radius, so the ends are only formed a block at a time. x - 0.0 == x,
+    so the default radius leaves given ends as they are.
     w_lower feeds the lower mass of the cell containing an enclosure on
     every axis, w_upper the upper mass of every cell it touches.
     Enclosures are binned _BLOCK_ROWS at a time (see _bin_cells), so the
@@ -329,7 +332,8 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
         for rows in _row_blocks(w_upper.shape[0]):
             # Rows of the transposed (1, K) or (d, K) views are per-axis
             # coordinates.
-            axes = list(zip(np.atleast_2d(e_lo[rows].T), np.atleast_2d(e_hi[rows].T)))
+            axes = list(zip(np.atleast_2d((e_lo[rows] - radius).T),
+                            np.atleast_2d((e_hi[rows] + radius).T)))
             contained, low = True, []
             for lo, hi in axes:
                 low.append(cell(lo, eps))
@@ -497,13 +501,11 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
         return centers[keep], weights[keep]
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
-    rho = ifs.map.ratio ** h * r0
-    # The enclosure ends c - rho and c + rho, reusing the rows' own array.
+    # Balls of radius rho about the shifted centres, in the rows' own array.
     centers += ifs.apply_power(h, zs)
-    e_lo = centers - rho
-    centers += rho
     idx, lower, upper = bin_weighted_intervals(
-        e_lo, centers, weights, weights, n, k0, k1, eps, settled)
+        centers, centers, weights, weights, n, k0, k1, eps, settled,
+        radius=ifs.map.ratio ** h * r0)
     return DyadicHistogram(ifs.ambient_dim, n, h, k0, k1, idx, lower, upper)
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,71 +340,110 @@ def test_first_frontier_matches_dict(theta, c):
     assert bad.T.tolist() == list(first.values())
 
 
+# Candidate slices of 7 and 257 split most lengths into many slices (7
+# often holds one parent), and a merge batch of 257 merges within a length.
+_SLICES = (7, 257, ekscan._CANDIDATE_SLICE)
+_BATCHES = (257, ekscan._MERGE_BATCH)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["translations", "convolutions"]),
        theta=st.floats(1.0, 3.0, exclude_min=True),
        c=st.floats(0.02, 0.45, exclude_min=True, exclude_max=True),
-       delta=st.floats(0.0, 1.0), chunk=st.sampled_from([257, 1 << 21]),
-       data=st.data())
-def test_count_matches_oracle(kind, theta, c, delta, chunk, data):
+       delta=st.floats(0.0, 1.0), slice_size=st.sampled_from(_SLICES),
+       batch=st.sampled_from(_BATCHES), data=st.data())
+def test_count_matches_oracle(kind, theta, c, delta, slice_size, batch, data):
     """The array frontier equals the dict counters, or both run out of budget.
 
     A small node budget keeps the oracle fast on the branching cases; small
-    candidate chunks split levels into many slices and merges.
+    candidate slices and merge batches split lengths into many slices and
+    merges.
     """
     N = data.draw(st.integers(3, 9 if kind == "translations" else 14))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ekscan, "_NODE_BUDGET", 10_000)
-        mp.setattr(ekscan, "_CANDIDATE_CHUNK", chunk)
+        mp.setattr(ekscan, "_CANDIDATE_SLICE", slice_size)
+        mp.setattr(ekscan, "_MERGE_BATCH", batch)
         new = _outcome(kind, theta, N, c, delta, oracle=False)
         ref = _outcome(kind, theta, N, c, delta, oracle=True)
     assert new[0] is BudgetError if ref[0] is BudgetError else new == ref
 
 
-@pytest.mark.parametrize("chunk", [1 << 21, 1000])
+def test_count_empty_last_length():
+    """A last length without a live child counts 0, as the oracle does."""
+    args = ("translations", 2.6875, 3, 0.0234375, 0.0)
+    assert _outcome(*args, oracle=False) == _outcome(*args, oracle=True) == (5, 1, 0)
+
+
+@pytest.mark.parametrize("batch", [1 << 21, 1000])
 @pytest.mark.parametrize("kind,theta,N", [("convolutions", 2.0, 14),
                                           ("translations", 1.0 / GOLDEN, 9)])
-def test_node_budget_matches_oracle(monkeypatch, kind, theta, N, chunk):
+def test_node_budget_matches_oracle(monkeypatch, kind, theta, N, batch):
     """Around every running node total of the oracle, the counter raises
     exactly where the oracle raises and says how far over it went: the
-    total itself when a level fits one candidate chunk, a lower bound
-    above the budget otherwise."""
+    total itself with the default slice and batch (each length of these
+    counts is merged once, at its end), a lower bound above the budget
+    otherwise. Each merge batch runs with every candidate slice of
+    _SLICES."""
     totals = []
     _ORACLES[kind](theta, N, 0.1, 0.25, totals)
     firsts = {}
     for length, total in totals:
         firsts.setdefault(total, length)
-    monkeypatch.setattr(ekscan, "_CANDIDATE_CHUNK", chunk)
-    for total, length in firsts.items():
-        for budget in (total - 1, total):
-            monkeypatch.setattr(ekscan, "_NODE_BUDGET", budget)
-            new = _outcome(kind, theta, N, 0.1, 0.25, oracle=False)
-            ref = _outcome(kind, theta, N, 0.1, 0.25, oracle=True)
-            assert (new[0] is BudgetError) == (ref[0] is BudgetError)
-            if new[0] is not BudgetError:
-                assert new == ref
-                continue
-            match = re.fullmatch(r"sequence enumeration needs at least (\d+) "
-                                 r"nodes by length (\d+), over the budget "
-                                 r"(\d+)", new[1])
-            assert match and int(match[3]) == budget, new[1]
-            needed, at = int(match[1]), int(match[2])
-            if budget < total:
-                assert at == length and budget < needed <= total
-                assert needed == total or chunk < 1 << 21
-            else:
-                assert at > length
+    defaults = (ekscan._CANDIDATE_SLICE, ekscan._MERGE_BATCH)
+    monkeypatch.setattr(ekscan, "_MERGE_BATCH", batch)
+    for slice_size in _SLICES:
+        monkeypatch.setattr(ekscan, "_CANDIDATE_SLICE", slice_size)
+        for total, length in firsts.items():
+            for budget in (total - 1, total):
+                monkeypatch.setattr(ekscan, "_NODE_BUDGET", budget)
+                new = _outcome(kind, theta, N, 0.1, 0.25, oracle=False)
+                ref = _outcome(kind, theta, N, 0.1, 0.25, oracle=True)
+                assert (new[0] is BudgetError) == (ref[0] is BudgetError)
+                if new[0] is not BudgetError:
+                    assert new == ref
+                    continue
+                match = re.fullmatch(r"sequence enumeration needs at least "
+                                     r"(\d+) nodes by length (\d+), over the "
+                                     r"budget (\d+)", new[1])
+                assert match and int(match[3]) == budget, new[1]
+                needed, at = int(match[1]), int(match[2])
+                if budget < total:
+                    assert at == length and budget < needed <= total
+                    assert needed == total or (slice_size, batch) != defaults
+                else:
+                    assert at > length
 
 
 def test_node_budget_bounds_a_level(monkeypatch):
-    """A level merges once it could pass the budget room left, so the
-    error names at most the budget plus one candidate chunk."""
+    """A length merges once it could pass the budget room left, so the
+    error names at most the budget plus one slice: the slice size in
+    candidates, or one parent's 101 or 102 where a parent has more."""
     monkeypatch.setattr(ekscan, "_NODE_BUDGET", 100_000)
-    monkeypatch.setattr(ekscan, "_CANDIDATE_CHUNK", 4096)
-    with pytest.raises(BudgetError) as err:
-        ek_count_sequences("translations", 3, 0.1, 0.0, theta=100.0)
-    needed = int(re.search(r"at least (\d+) nodes by length 2", str(err.value))[1])
-    assert 100_000 < needed <= 100_000 + 4096
+    for slice_size, batch in itertools.product((7, 257, 4096), _BATCHES):
+        monkeypatch.setattr(ekscan, "_CANDIDATE_SLICE", slice_size)
+        monkeypatch.setattr(ekscan, "_MERGE_BATCH", batch)
+        with pytest.raises(BudgetError) as err:
+            ek_count_sequences("translations", 3, 0.1, 0.0, theta=100.0)
+        needed = int(re.search(r"at least (\d+) nodes by length 2",
+                               str(err.value))[1])
+        assert 100_000 < needed <= 100_000 + max(slice_size, 102)
+
+
+@pytest.mark.parametrize("kind,theta,N,bound", [
+    ("convolutions", 2.0, 20, 20e6), ("translations", 1.0 / GOLDEN, 12, 16e6)])
+def test_count_peak_memory(kind, theta, N, bound):
+    """The benchmark counts hold one candidate slice at a time and only
+    keys at the last length: traced peaks about 15.6 and 12.0 MB, where
+    expanding each length in slices of 2^21 candidates read 47 MB."""
+    key = "theta" if kind == "translations" else "theta1"
+    tracemalloc.start()
+    try:
+        ek_count_sequences(kind, N, 0.1, 0.25, **{key: theta})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_count_exact_range():
