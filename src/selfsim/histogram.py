@@ -501,7 +501,7 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
         return centers[keep], weights[keep]
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
-    # Balls of radius rho about the shifted centres, in the rows' own array.
+    # The depth-h balls: centres shifted in the rows' own array, and their radius.
     centers += ifs.apply_power(h, zs)
     idx, lower, upper = bin_weighted_intervals(
         centers, centers, weights, weights, n, k0, k1, eps, settled,
