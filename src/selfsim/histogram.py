@@ -36,10 +36,17 @@ spanning the level; every per-element expression and every order of
 summation is that of one pass over the level, so blocks move no bit.
 
 Words of overlapping systems whose partial sums round to one multiple of
-2^-(n+40) are merged after each level. Most levels (all of them for separated
-systems) have no two such words, and an unstable sort with a neighbour
-check, of the rounded float keys in 1D and of a hash of the int64 key pair
-in 2D, finds that before the stable sort that groups them is paid for.
+2^-(n+40) are merged after each level. A system with word_gap g > 0 has
+distinct words' partial sums r^(d-1) g apart at depth d, at least
+r^(d-1) g / sqrt(dim) on some axis, and their float centres within
+err_d = centre_error(ifs, d) of them on every axis. Where
+r^(d-1) g / sqrt(dim) - 2 err_d exceeds the quantum, two rows cannot round
+to one key (equal keys put the centres within one quantum on every axis),
+the merge would return its inputs unchanged, and it is not run: for the
+separated examples that is every level. Elsewhere most levels still have
+no two such words, and an unstable sort with a neighbour check, of the
+rounded float keys in 1D and of a hash of the int64 key pair in 2D, finds
+that before the stable sort that groups them is paid for.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrecisionError, SpecError
-from .ifs import HomogeneousIfs, cylinder_words
+from .ifs import HomogeneousIfs, centre_error, cylinder_words, word_gap
 
 _EPS_BASE = 1e-14
 _DENSE_SPAN_CAP = 1 << 23
@@ -156,8 +163,9 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
     optimization for overlapping (lattice-like) systems; skipping it only
     costs memory, never correctness.
 
-    A level usually has no two words with one rounded key (separated
-    systems never do), so an unstable sort first checks for equal
+    A level usually has no two words with one rounded key (histogram()
+    does not call this at the depths where word_gap proves none can
+    share one), so an unstable sort first checks for equal
     neighbours: of the rounded keys themselves, sorted as floats in 1D, of
     a wrapped uint64 hash of the int64 key pair in 2D. Rounded keys are
     integral floats below 2^62, equal exactly when their int64 casts are.
@@ -471,9 +479,14 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
     spans = [b - a + 1 for a, b in zip(k0, k1)]
     # Per-cell sums of the words settled before depth h.
     settled = _CellSums(math.prod(spans))
+    gap = word_gap(ifs)
 
     def merge_and_settle(depth, centers, weights):
-        centers, weights = _merge_close_points(centers, weights, quantum)
+        # Rows whose keys provably differ would come back unchanged (see
+        # the module docstring); g <= 0 always merges.
+        if (ifs.map.ratio ** (depth - 1) * gap / math.sqrt(ifs.ambient_dim)
+                - 2.0 * centre_error(ifs, depth) <= quantum):
+            centers, weights = _merge_close_points(centers, weights, quantum)
         rho = ifs.map.ratio ** depth * r0
         # No enclosure fits one cell before 2 (rho + eps) < 2^-n; the words
         # left at depth h are binned by their ends.
@@ -493,7 +506,7 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
             c *= scale
             np.floor(c, out=c)
             one_cell = lo == c
-            done = one_cell if one_cell.ndim == 1 else one_cell.all(axis=1)
+            done = one_cell if one_cell.ndim == 1 else one_cell[:, 0] & one_cell[:, 1]
             cells = lo[done].astype(np.int64)
             settled.add(_flat_code(_to_box(list(np.atleast_2d(cells.T)), k0, k1), spans),
                         weights[rows][done])

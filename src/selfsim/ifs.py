@@ -241,6 +241,11 @@ def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None 
     given, runs after each level and returns the rows that go on growing,
     so a caller may merge or drop rows (histogram() does both) and the
     budget then bounds the rows it keeps.
+
+    Level j + 1 adds the float term T^j a_i to each centre, so a centre is
+    its word's exact partial sum to within centre_error(ifs, j + 1) on
+    every axis; distinct words' partial sums lie word_gap(ifs) r^j apart
+    when that is positive, which histogram() uses to skip merging.
     """
     if length < 1:
         raise SpecError("word length must be >= 1")
@@ -250,16 +255,69 @@ def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None 
     # Level j appends the symbol at position j + 1 to the empty word.
     centers, weights = np.zeros((1,) + a.shape[1:]), np.ones(1)
     for j in range(length):
-        if centers.shape[0] * ifs.m > budget:
-            raise BudgetError(
-                f"word expansion needs {centers.shape[0] * ifs.m} rows at depth "
-                f"{j + 1}, over the budget {budget}")
+        _check_rows(centers.shape[0] * ifs.m, j + 1, budget)
         step = ifs.apply_power(j, a)
         centers = (centers[:, None] + step[None, :]).reshape(-1, *a.shape[1:])
         weights = (weights[:, None] * p[None, :]).ravel()
         if level_hook is not None:
             centers, weights = level_hook(j + 1, centers, weights)
     return centers, weights
+
+
+def _check_rows(rows: int, depth: int, budget: int) -> None:
+    """Raise BudgetError when a level of rows words at depth exceeds budget."""
+    if rows > budget:
+        raise BudgetError(
+            f"word expansion needs {rows} rows at depth {depth}, over the budget {budget}")
+
+
+def word_gap(ifs: HomogeneousIfs) -> float:
+    """Lower bound g on the spacing of distinct words' partial sums.
+
+    g = min_{i != j} |a_i - a_j| - r max_{i,j} |a_i - a_j| / (1 - r) in the
+    Euclidean norm. Two words of length d that first differ at position
+    k + 1 <= d have partial sums differing by T^k (a_i - a_j), of norm at
+    least r^k min|a_i - a_j|, plus terms T^l (a_s - a_t), l > k, of norm at
+    most r^l max|a_i - a_j|, whose sum stays below r^(k+1) max / (1 - r):
+    T^l scales every norm by r^l, whatever its sign or rotation. So when
+    g > 0 the sums lie at least r^k g >= r^(d-1) g apart, and words with
+    different first symbols at least g apart; g <= 0 proves nothing.
+
+    The float value is lowered by 2^-39 (near + far), which exceeds its
+    own rounding (about 11 units of 2^-53 in near + far), so the result is
+    below the exact g by at least 2^-40 |g|: a product of it with a few
+    positive rounded factors stays below the exact product.
+    """
+    a = ifs.translations
+    d = a[:, None] - a[None, :]
+    dist = np.abs(d) if ifs.ambient_dim == 1 else np.hypot(d[..., 0], d[..., 1])
+    near = float(dist[~np.eye(ifs.m, dtype=bool)].min())
+    far = ifs.map.ratio * float(dist.max()) / (1.0 - ifs.map.ratio)
+    return near - far - 2.0 ** -39 * (near + far)
+
+
+def centre_error(ifs: HomogeneousIfs, length: int) -> float:
+    """Bound on any axis for float centre minus exact partial sum in
+    cylinder_words(ifs, p, length).
+
+    With u = 2^-53 and A = max_j |a_j|, the term T^k a_j has coordinates
+    of at most r^k A and a partial sum at most A / (1 - r). apply_power(k)
+    forms the term as follows, taking libm's pow, cos and sin within one
+    ulp (2u on [-1, 1]; glibc's are):
+    - 1D: lam**k and the product with a_j, within 3u r^k A;
+    - 2D: the angle 2 pi ((alpha k) mod 1) is within 2 pi (k + 2) u of
+      2 pi alpha k mod 2 pi (alpha k rounds by k u, the mod is exact, 2 pi
+      and the product round by u each); cos and sin add 2u, and r^k and
+      its products 3u relative, so each matrix entry is within
+      r^k u (7k + 18) of the exact one. Two products and a sum per axis
+      then give r^k A u (14k + 41).
+    Adding a term to a centre rounds by at most u A / (1 - r) (up to
+    second-order terms), except at the first level, which adds to zero.
+    Over length d the error is at most u A ((14d + 27) + (d - 1)) / (1 - r);
+    the bound returned, 2u (16d + 32) A / (1 - r), is more than twice that,
+    which covers the second-order terms and its own rounding.
+    """
+    return (16 * length + 32) * 2.0 ** -52 * ifs.coarse_radius
 
 
 def unrank_word(index: int, length: int, m: int) -> tuple[int, ...]:
@@ -296,12 +354,27 @@ def check_strong_separation(ifs: HomogeneousIfs, depth: int,
     Each first-level set f_j(attractor) is covered by the balls of the
     depth-length cylinders starting with j. Separated means every ball
     under one first symbol is disjoint from every ball under another.
+
+    Words with different first symbols lie word_gap(ifs) apart. When that
+    gap, less twice the centres' rounding on each axis (centre_error plus
+    the shift by T^depth z*) times sqrt(dim), exceeds the ball gap 2 r^depth
+    R, the grid scan below could find no close pair, and the result is
+    Separated without expanding a word; word_gap's headroom covers the
+    rounding of the scan's distance test. Either way m^depth words must
+    fit word_budget.
     """
     if depth < 1:
         raise SpecError("separation depth must be >= 1")
+    gap = 2.0 * ifs.map.ratio ** depth * ifs.attractor_radius
+    # The shifted centres have coordinates of at most 2 A / (1 - r).
+    err = centre_error(ifs, depth) + 2.0 ** -52 * ifs.coarse_radius
+    if word_gap(ifs) - 2.0 * math.sqrt(ifs.ambient_dim) * err > gap:
+        budget = WORD_BUDGET if word_budget is None else word_budget
+        for k in range(1, depth + 1):
+            _check_rows(ifs.m ** k, k, budget)
+        return SeparationCertificate("Separated", depth)
     centers = cylinder_words(ifs, uniform_weights(ifs.m), depth, word_budget)[0]
     centers += ifs.apply_power(depth, ifs.attractor_center)
-    gap = 2.0 * ifs.map.ratio ** depth * ifs.attractor_radius
     # Words sharing a first symbol form one contiguous block of rows.
     size = centers.shape[0] // ifs.m
     for j in range(ifs.m):

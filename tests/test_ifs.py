@@ -242,8 +242,10 @@ def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
         ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=0.25),
                              four_corner[0].translations)
     cert = check_strong_separation(ifs, depth)
-    # comparing a few word pairs at a time gives the same certificate
+    # the grid scan, comparing a few word pairs at a time, gives the same
+    # certificate as word_gap's shortcut where that applies
     monkeypatch.setattr(ifs_module, "_PAIR_CHUNK", 5)
+    monkeypatch.setattr(ifs_module, "word_gap", lambda ifs: -math.inf)
     assert check_strong_separation(ifs, depth) == cert
     pairs, balls = _brute_force_overlap(ifs, depth)
     assert cert.depth == depth
@@ -282,14 +284,16 @@ def test_separation_window_is_local(four_corner):
 
 
 @pytest.mark.parametrize("name,depth", [("cantor", 16), ("golden", 18)])
-def test_separation_memory(name, depth, cantor13, golden_bc):
+def test_separation_memory(name, depth, cantor13, golden_bc, monkeypatch):
     """Only nearby words are compared, a bounded number of pairs at a time.
 
     A 4096-row difference matrix against the other group took about 1 GiB
     at Cantor depth 16. The bound holds both when no pair is close (Cantor)
     and when many are (golden, whose candidate pairs alone would take about
-    130 MB unchunked)."""
+    130 MB unchunked). Cantor's word_gap certifies it without a scan, so
+    the scan is forced."""
     ifs = cantor13[0] if name == "cantor" else golden_bc[0]
+    monkeypatch.setattr(ifs_module, "word_gap", lambda ifs: -math.inf)
     tracemalloc.start()
     try:
         separated = check_strong_separation(ifs, depth).separated
