@@ -12,15 +12,14 @@ from .dimension import (AcDecision, DimEstimate, MomentTable, SubmultReport,
                         estimate_D1, estimate_Dq, table_from_histograms)
 from .ekscan import (EkCountReport, EkReport, EkSpec, centered_frac,
                      ek_badness, ek_count_sequences, ek_sweep)
-from .errors import (BudgetError, InvalidWordError, PrecisionError,
-                     SelfsimError, SpecError, UsageError)
+from .errors import (BudgetError, PrecisionError, SelfsimError, SpecError,
+                     UsageError)
 from .fourier import FourierProfile, decay_fit, ft_eval
 from .histogram import (DyadicHistogram, dyadic_depth, entropy_sum, histogram,
                         moment_sums)
 from .ifs import (WORD_BUDGET, HomogeneousIfs, SeparationCertificate,
                   Similarity, check_strong_separation, check_weights,
-                  coding_map_partial, cylinder_ball, cylinder_words, entropy,
-                  ifs_from_json, ifs_to_json, similarity_dimension,
+                  cylinder_words, entropy, ifs_from_json, similarity_dimension,
                   uniform_weights, unrank_word)
 from .transforms import (ConvolvedMeasure, ProjectedMeasure,
                          SelfSimilarMeasure, SkipKeepPair, convolve_hist,

@@ -120,23 +120,17 @@ class EkSpec:
 
 @dataclass(frozen=True)
 class EkReport:
-    """Scan outcome: the worst t on the grid and its per-index residuals."""
+    """Scan outcome: the worst t on the grid and which indices are good there."""
 
     spec: EkSpec
     badness: float
     witness_t: float
-    eps: np.ndarray
-    delta: np.ndarray
     good: np.ndarray
 
     def __post_init__(self):
         good = np.asarray(self.good, dtype=bool)
         if abs(self.badness - good.mean()) > 1e-12:
             raise SpecError("badness must equal the witness good fraction")
-        for name in ("eps", "delta"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         good = good.copy()
         good.setflags(write=False)
         object.__setattr__(self, "good", good)
@@ -225,12 +219,7 @@ def ek_badness(spec: EkSpec) -> EkReport:
         np.add.reduce(good.view(np.int8), axis=0, dtype=np.int32,
                       out=counts[i:i + step])
     gi = int(np.argmax(counts))
-    witness = float(t[gi])
-    eps = centered_frac(witness * cols[0])
-    delta = (centered_frac(witness * cols[1]) if cols[1] is not None
-             else np.zeros(spec.N))
-    return EkReport(spec=spec, badness=counts[gi] / spec.N, witness_t=witness,
-                    eps=eps, delta=delta,
+    return EkReport(spec=spec, badness=counts[gi] / spec.N, witness_t=float(t[gi]),
                     good=_good(t[gi:gi + 1], grids, spec.c, work)[:, 0])
 
 

@@ -23,10 +23,6 @@ class SpecError(SelfsimError):
     exit_code = 2
 
 
-class InvalidWordError(SpecError):
-    """A symbolic word contains a symbol outside 1..m."""
-
-
 class BudgetError(SelfsimError):
     """An enumeration would exceed the configured word or node budget."""
 

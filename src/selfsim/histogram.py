@@ -66,10 +66,6 @@ _DENSE_SPAN_CAP = 1 << 23
 # Rows of a level that binning, the settle test and the 2D merge keys work
 # on at a time: a float64 temporary of this many rows (256 KB) stays in L2.
 _BLOCK_ROWS = 1 << 15
-# Cell pairs formed in convolve_hist per chunk. Above _DENSE_SPAN_CAP the
-# pair stage folds its sums every _PAIR_CHUNK pairs, so the value fixes the
-# bits of those sums.
-_PAIR_CHUNK = 1 << 21
 _MERGE_GUARD_BITS = 40
 # Odd multiplier (2^64 over the golden ratio) of the 2D merge keys' hash.
 _PAIR_HASH = 0x9E3779B97F4A7C15
@@ -135,10 +131,6 @@ class DyadicHistogram:
         w = self.cell_width
         return tuple((k0 * w, (k1 + 1) * w) for k0, k1 in zip(self.k_min, self.k_max))
 
-    def cell_left(self) -> np.ndarray:
-        """Left (or lower-left) coordinates of every stored cell."""
-        return self.indices * self.cell_width
-
 
 def dyadic_depth(ifs: HomogeneousIfs, n: int, extra_depth: int = 4) -> int:
     """Smallest h with r^(h+1) <= 2^-n < r^h, plus extra_depth."""
@@ -199,7 +191,7 @@ def _merge_close_points(centers: np.ndarray, weights: np.ndarray, quantum: float
     ks = keys[order]
     change = ks[1:] != ks[:-1]
     if centers.ndim == 2:
-        change = change.any(axis=1)
+        change = change[:, 0] | change[:, 1]
     starts = np.flatnonzero(np.concatenate(([True], change)))
     if starts.size == centers.shape[0]:
         return centers, weights
@@ -452,6 +444,19 @@ def _box_range(lo: float, hi: float, n: int, eps: float) -> tuple[int, int]:
     return k0, max(k0, k1)
 
 
+def _cell_box(lo, hi, n: int):
+    """Enclosure margin and level-n cell box of the region [lo, hi].
+
+    lo and hi hold one end per axis. The margin eps = _EPS_BASE
+    max(1, max |end|) widens every enclosure outward (touch) and narrows
+    it inward (containment) when binned. Returns (eps, k_min, k_max) with
+    one cell bound per axis.
+    """
+    eps = _EPS_BASE * max(1.0, *(abs(float(x)) for x in (*lo, *hi)))
+    k_min, k_max = zip(*(_box_range(a, b, n, eps) for a, b in zip(lo, hi)))
+    return eps, k_min, k_max
+
+
 def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
               word_budget: int | None = None) -> DyadicHistogram:
     """Certified cell-mass intervals of the self-similar measure at level n.
@@ -472,10 +477,9 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
         raise PrecisionError(
             f"level {n} cells are below float64 resolution for coordinates "
             f"of magnitude {coord_bound:g}")
-    eps = _EPS_BASE * max(1.0, coord_bound)
+    eps, k0, k1 = _cell_box(zs - r0, zs + r0, n)
     scale = 2.0 ** n
     quantum = 2.0 ** -(n + _MERGE_GUARD_BITS)
-    k0, k1 = zip(*(_box_range(z - r0, z + r0, n, eps) for z in zs))
     spans = [b - a + 1 for a, b in zip(k0, k1)]
     # Per-cell sums of the words settled before depth h.
     settled = _CellSums(math.prod(spans))

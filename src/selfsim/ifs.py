@@ -11,17 +11,17 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InvalidWordError, SpecError
+from .errors import BudgetError, SpecError
 
 WORD_BUDGET = 2 ** 24
 
 _WEIGHT_TOL = 1e-12
 # Word pairs compared at a time by the separation check.
-_PAIR_CHUNK = 1 << 18
+_SCAN_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -182,52 +182,6 @@ def similarity_dimension(ifs: HomogeneousIfs, p=None) -> float:
         p = uniform_weights(ifs.m)
     h = entropy(check_weights(p, ifs.m))
     return h / -math.log2(ifs.map.ratio)
-
-
-def _check_word(ifs: HomogeneousIfs, word) -> np.ndarray:
-    w = np.asarray(word, dtype=np.int64).ravel()
-    if w.size == 0:
-        raise InvalidWordError("word must be nonempty")
-    if np.any(w < 1) or np.any(w > ifs.m):
-        raise InvalidWordError(f"word symbols must lie in 1..{ifs.m}")
-    return w
-
-
-def coding_map_partial(ifs: HomogeneousIfs, word):
-    """Partial coding-map sum c = sum_{n=1}^{|w|} T^{n-1} a_{w_n} plus a tail radius.
-
-    Every infinite extension of the word lands in the closed ball
-    B(c, tail_radius) with tail_radius = r^{|w|} max_j |a_j| / (1 - r).
-    Returns (c, tail_radius); c is a float in 1D and an array (2,) in 2D.
-    """
-    w = _check_word(ifs, word)
-    a = ifs.translations[w - 1]
-    if ifs.ambient_dim == 1:
-        powers = ifs.lam ** np.arange(w.size)
-        c = float(np.dot(powers, a))
-    else:
-        k = np.arange(w.size)
-        ang = 2.0 * math.pi * ((ifs.map.alpha * k) % 1.0)
-        r_pow = ifs.map.ratio ** k
-        cos_a, sin_a = np.cos(ang), np.sin(ang)
-        x = r_pow * (cos_a * a[:, 0] - sin_a * a[:, 1])
-        y = r_pow * (sin_a * a[:, 0] + cos_a * a[:, 1])
-        c = np.array([x.sum(), y.sum()])
-    tail = ifs.map.ratio ** w.size * ifs.coarse_radius
-    return c, tail
-
-
-def cylinder_ball(ifs: HomogeneousIfs, word):
-    """Tight enclosure of the cylinder set: ball B(c_w + T^{|w|} z*, r^{|w|} R).
-
-    Uses the centered attractor ball B(z*, R), which is what the histogram
-    and separation machinery rely on. Tighter than the coding-map tail
-    radius whenever the translations are not mean-centered.
-    """
-    w = _check_word(ifs, word)
-    c, _ = coding_map_partial(ifs, w)
-    center = c + ifs.apply_power(w.size, ifs.attractor_center)
-    return center, ifs.map.ratio ** w.size * ifs.attractor_radius
 
 
 def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None = None,
@@ -425,7 +379,7 @@ def _first_close_pair(a: np.ndarray, b: np.ndarray, gap: float):
     """First (i, k), by i then k, with |a[i] - b[k]| <= gap, or None.
 
     Only the rows of b in grid cells next to a[i]'s (_grid_windows) are
-    compared, and at most _PAIR_CHUNK pairs are formed at a time, so
+    compared, and at most _SCAN_PAIRS pairs are formed at a time, so
     memory stays linear in the rows.
     """
     order, lo, counts = _grid_windows(a, b, gap)
@@ -434,7 +388,7 @@ def _first_close_pair(a: np.ndarray, b: np.ndarray, gap: float):
     firsts = ends - per_row
     start = 0
     while start < a.shape[0]:
-        stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + _PAIR_CHUNK, "right")))
+        stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + _SCAN_PAIRS, "right")))
         seg_n = counts[start:stop].ravel()
         seg = np.repeat(np.arange(seg_n.size), seg_n)
         pos = lo[start:stop].ravel()[seg] + np.arange(seg.size) - (np.cumsum(seg_n) - seg_n)[seg]
@@ -448,22 +402,6 @@ def _first_close_pair(a: np.ndarray, b: np.ndarray, gap: float):
             return int(rows[0]), int(ks[rows == rows[0]].min())
         start = stop
     return None
-
-
-def ifs_to_json(ifs: HomogeneousIfs, p=None) -> dict:
-    """Serialize an IFS (and optional weights) to the document schema."""
-    doc = {"ambient_dim": ifs.ambient_dim, "ratio": ifs.map.ratio}
-    if ifs.ambient_dim == 1:
-        doc["sign"] = int(ifs.map.sign)
-        doc["translations"] = [float(x) for x in ifs.translations]
-    else:
-        doc["alpha"] = float(ifs.map.alpha)
-        doc["translations"] = [[float(x), float(y)] for x, y in ifs.translations]
-    if p is not None:
-        doc["weights"] = [float(x) for x in check_weights(p, ifs.m)]
-    if ifs.label:
-        doc["label"] = ifs.label
-    return doc
 
 
 def parse_field(convert, value, name: str):

@@ -19,13 +19,17 @@ import numpy as np
 
 from .errors import BudgetError, SpecError
 from .fourier import ft_batch, ft_eval
-from .histogram import (_EPS_BASE, _PAIR_CHUNK, DyadicHistogram, _bin_cells,
-                        _box_range, _CellSums, bin_weighted_intervals, histogram)
+from .histogram import (DyadicHistogram, _bin_cells, _cell_box, _CellSums,
+                        bin_weighted_intervals, histogram)
 from .ifs import (HomogeneousIfs, Similarity, check_weights, cylinder_words,
                   ifs_from_json, parse_field, strict_int)
 
 _MERGE_TOL = 1e-12
 _PAIR_BUDGET = 50_000_000
+# Cell pairs formed in convolve_hist per chunk. Above the dense cap of
+# _CellSums the pair stage folds its sums every _PAIR_CHUNK pairs, so the
+# value fixes the bits of those sums.
+_PAIR_CHUNK = 1 << 21
 
 
 def _merge_coincident(points: np.ndarray, weights: np.ndarray):
@@ -87,12 +91,10 @@ def histogram_project(hist2d: DyadicHistogram, beta: float,
 
     (bx0, bx1), (by0, by1) = hist2d.box()
     corners = [cx * cb + cy * sb for cx in (bx0, bx1) for cy in (by0, by1)]
-    eps = _EPS_BASE * max(1.0, max(abs(c) for c in corners))
-    k0, k1 = _box_range(min(corners), max(corners), n_out, eps)
+    eps, k0, k1 = _cell_box([min(corners)], [max(corners)], n_out)
     idx, lower, upper = bin_weighted_intervals(
         lo, hi, hist2d.lower, hist2d.upper, n_out, k0, k1, eps)
-    return DyadicHistogram(1, n_out, hist2d.depth_used, (k0,), (k1,),
-                           idx, lower, upper)
+    return DyadicHistogram(1, n_out, hist2d.depth_used, k0, k1, idx, lower, upper)
 
 
 def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
@@ -136,9 +138,7 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
 
     (a0, a1) = h1.box()[0]
     (b0, b1) = h2.box()[0]
-    cand = [a0 + min(u * b0, u * b1), a1 + max(u * b0, u * b1)]
-    eps = _EPS_BASE * max(1.0, abs(cand[0]), abs(cand[1]))
-    k0, k1 = _box_range(cand[0], cand[1], n_out, eps)
+    eps, k0, k1 = _cell_box([a0 + min(u * b0, u * b1)], [a1 + max(u * b0, u * b1)], n_out)
 
     g = 1 << (h1.n - n_out)
     s = np.minimum(u * h2.indices, u * (h2.indices + 1))
@@ -191,9 +191,9 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
     t_lo, widths = np.divmod(up_codes, nw)
     t_lo += base
     idx, lower, upper = _bin_cells([([low_cells + base], low_w, [t_lo],
-                                     [t_lo + widths], up_w)], (k0,), (k1,))
+                                     [t_lo + widths], up_w)], k0, k1)
     return DyadicHistogram(1, n_out, min(h1.depth_used, h2.depth_used),
-                           (k0,), (k1,), idx, lower, upper)
+                           k0, k1, idx, lower, upper)
 
 
 def _column_sums(codes: np.ndarray, weights: np.ndarray):

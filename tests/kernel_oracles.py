@@ -1,4 +1,7 @@
-"""Collect-then-sum kernels that per-cell sums replaced, kept as oracles.
+"""Reference kernels that the package's level-wide code replaced, kept as oracles.
+
+coding_map_partial sums one word's coding map term by term: the per-word
+reference that cylinder_words' rows are compared against.
 
 histogram() used to collect the cells and weights of the words it settles
 and bin them with the depth-h words in one call, and the convolution pair
@@ -23,6 +26,31 @@ from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _box_range,
 # selfsim.histogram is the function; the modules are reached by name.
 _HISTOGRAM = importlib.import_module("selfsim.histogram")
 _TRANSFORMS = importlib.import_module("selfsim.transforms")
+
+
+def coding_map_partial(ifs, word):
+    """Partial coding-map sum c = sum_{n=1}^{|w|} T^{n-1} a_{w_n} plus a tail radius.
+
+    Every infinite extension of the word lands in the closed ball
+    B(c, tail_radius) with tail_radius = r^{|w|} max_j |a_j| / (1 - r).
+    Returns (c, tail_radius); c is a float in 1D and an array (2,) in 2D.
+    The word holds symbols in 1..m and is not checked.
+    """
+    w = np.asarray(word, dtype=np.int64).ravel()
+    a = ifs.translations[w - 1]
+    if ifs.ambient_dim == 1:
+        powers = ifs.lam ** np.arange(w.size)
+        c = float(np.dot(powers, a))
+    else:
+        k = np.arange(w.size)
+        ang = 2.0 * math.pi * ((ifs.map.alpha * k) % 1.0)
+        r_pow = ifs.map.ratio ** k
+        cos_a, sin_a = np.cos(ang), np.sin(ang)
+        x = r_pow * (cos_a * a[:, 0] - sin_a * a[:, 1])
+        y = r_pow * (sin_a * a[:, 0] + cos_a * a[:, 1])
+        c = np.array([x.sum(), y.sum()])
+    tail = ifs.map.ratio ** w.size * ifs.coarse_radius
+    return c, tail
 
 
 def aggregate(cells: np.ndarray, weights: np.ndarray, span: int):

@@ -14,10 +14,10 @@ import pytest
 
 from selfsim import (ConvolvedMeasure, EkSpec, HomogeneousIfs,
                      SelfSimilarMeasure, Similarity, build_moment_table,
-                     check_submultiplicativity, closed_form_Dq, convolve_hist,
-                     ek_badness, ek_count_sequences, estimate_D1, estimate_Dq,
-                     ft_eval, histogram, project_ifs, similarity_dimension,
-                     skip_keep, table_from_histograms, uniform_weights)
+                     check_submultiplicativity, convolve_hist, ek_badness,
+                     ek_count_sequences, estimate_D1, estimate_Dq, ft_eval,
+                     histogram, project_ifs, similarity_dimension, skip_keep,
+                     table_from_histograms, uniform_weights)
 from selfsim.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

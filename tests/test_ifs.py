@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsim import (BudgetError, HomogeneousIfs, InvalidWordError, Similarity,
-                     SpecError, check_strong_separation, check_weights,
-                     coding_map_partial, cylinder_ball, cylinder_words,
-                     entropy, ifs_from_json, ifs_to_json,
-                     similarity_dimension, uniform_weights, unrank_word)
+from kernel_oracles import coding_map_partial
+from selfsim import (BudgetError, HomogeneousIfs, Similarity, SpecError,
+                     check_strong_separation, check_weights, cylinder_words,
+                     entropy, ifs_from_json, similarity_dimension,
+                     uniform_weights, unrank_word)
 from selfsim import ifs as ifs_module
 from selfsim.histogram import _merge_close_points
 from selfsim.ifs import _grid_windows
@@ -100,22 +100,15 @@ def test_coding_map_partial(cantor13):
     c, tail = coding_map_partial(ifs, (2, 2))
     assert c == pytest.approx(2 / 3 + 2 / 9)
     assert tail == pytest.approx(1 / 9)
-    with pytest.raises(InvalidWordError):
-        coding_map_partial(ifs, ())
-
-
-def test_invalid_words(cantor13):
-    ifs, _ = cantor13
-    with pytest.raises(InvalidWordError):
-        coding_map_partial(ifs, (0, 1))
-    with pytest.raises(InvalidWordError):
-        coding_map_partial(ifs, (1, 3))
 
 
 def test_cylinder_ball_contains_deeper_centers(cantor13):
-    """Every longer word starting with w stays inside w's enclosure."""
+    """Every longer word starting with w stays inside w's enclosure, the
+    ball B(c_w + T^|w| z*, r^|w| R) that histogram() settles words by."""
     ifs, _ = cantor13
-    center, radius = cylinder_ball(ifs, (2, 1))
+    c, _ = coding_map_partial(ifs, (2, 1))
+    center = c + ifs.apply_power(2, ifs.attractor_center)
+    radius = ifs.map.ratio ** 2 * ifs.attractor_radius
     for word in [(2, 1, 1), (2, 1, 2), (2, 1, 1, 2, 2)]:
         c, tail = coding_map_partial(ifs, word)
         assert abs(c - center) <= radius + 1e-15
@@ -209,9 +202,12 @@ def test_cylinder_words_merge(golden_bc):
 
 def _brute_force_overlap(ifs, depth):
     """Every pair of depth-length words with different first symbols whose
-    cylinder balls meet, by a plain loop over cylinder_ball."""
+    cylinder balls B(c_w + T^depth z*, r^depth R) meet, by a plain loop
+    over the words."""
     words = list(itertools.product(range(1, ifs.m + 1), repeat=depth))
-    balls = {w: cylinder_ball(ifs, w) for w in words}
+    shift = ifs.apply_power(depth, ifs.attractor_center)
+    radius = ifs.map.ratio ** depth * ifs.attractor_radius
+    balls = {w: (coding_map_partial(ifs, w)[0] + shift, radius) for w in words}
     pairs = []
     for w1, w2 in itertools.combinations(words, 2):
         if w1[0] != w2[0]:
@@ -244,7 +240,7 @@ def test_separation_matches_brute_force(name, depth, golden_bc, four_corner,
     cert = check_strong_separation(ifs, depth)
     # the grid scan, comparing a few word pairs at a time, gives the same
     # certificate as word_gap's shortcut where that applies
-    monkeypatch.setattr(ifs_module, "_PAIR_CHUNK", 5)
+    monkeypatch.setattr(ifs_module, "_SCAN_PAIRS", 5)
     monkeypatch.setattr(ifs_module, "word_gap", lambda ifs: -math.inf)
     assert check_strong_separation(ifs, depth) == cert
     pairs, balls = _brute_force_overlap(ifs, depth)
@@ -328,7 +324,9 @@ def test_separation_2d(four_corner):
 
 def test_json_roundtrip(cantor13):
     ifs, p = cantor13
-    doc = ifs_to_json(ifs, p)
+    doc = {"ambient_dim": 1, "ratio": 1 / 3, "sign": 1,
+           "translations": [0.0, 2 / 3], "weights": [0.5, 0.5],
+           "label": "cantor13"}
     back, q = ifs_from_json(doc)
     assert back.ambient_dim == 1
     assert back.map.ratio == pytest.approx(ifs.map.ratio)
@@ -341,10 +339,14 @@ def test_json_roundtrip(cantor13):
 
 def test_json_roundtrip_2d(four_corner):
     ifs, p = four_corner
-    back, q = ifs_from_json(ifs_to_json(ifs, p))
+    doc = {"ambient_dim": 2, "ratio": 1 / 3, "alpha": 0.0,
+           "translations": [[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3], [2 / 3, 2 / 3]],
+           "weights": [0.25] * 4}
+    back, q = ifs_from_json(doc)
     assert back.ambient_dim == 2
     assert back.map.alpha == 0.0
     assert np.allclose(back.translations, ifs.translations)
+    assert np.allclose(q, p)
 
 
 def test_json_integral_fields():
