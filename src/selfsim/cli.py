@@ -5,7 +5,7 @@ runs the corresponding pipeline, and writes CSV with a header row and
 17-significant-digit floats. Identical arguments and seed give byte
 identical output; worker counts change wall time only.
 
-Exit codes: 0 success, 1 usage, 2 bad spec or parameters, 3 budget
+Exit codes: 0 success, 1 usage, 2 bad spec or parameters, 3 budget or memory
 exceeded, 4 precision exhausted.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dimension import estimate_D1, estimate_Dq, table_from_histograms
 from .ekscan import EkSpec, ek_badness, ek_count_sequences, ek_sweep
-from .errors import SelfsimError, SpecError, UsageError
+from .errors import BudgetError, SelfsimError, SpecError, UsageError
 from .fourier import decay_fit
 from .ifs import check_strong_separation, entropy, similarity_dimension
 from .transforms import (ConvolvedMeasure, SelfSimilarMeasure,
@@ -370,6 +370,10 @@ def main(argv=None) -> int:
     except SelfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory; lower the level, depth, grid or sample count",
+              file=sys.stderr)
+        return BudgetError.exit_code
 
 
 if __name__ == "__main__":

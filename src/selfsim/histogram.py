@@ -28,7 +28,8 @@ depth-h words are binned behind them. Settled words thus come ahead of the
 depth-h words in every sum, in the order binning every word's ends at once
 would add them, so the masses are bit for bit the same, and memory follows
 the live words, not every word settled. Larger boxes keep the settled cells
-and weights and sum them at the end.
+and weights and sum them at the end, with the upper ones, in the stable
+order of the codes: one sort of unique (code, row) keys (_sorted_sums).
 
 A level's rows go through the settle test and binning _BLOCK_ROWS at a
 time, in row order, so each float temporary fits in cache rather than
@@ -221,10 +222,11 @@ class _CellSums:
     Up to _DENSE_SPAN_CAP cells the sums are one dense float64 array and
     add() puts each weight into it with np.add.at, one at a time in input
     order: the bits np.bincount of every weight added so far would give.
-    Above the cap add() keeps the codes and weights, and _sorted_sums folds
-    them (a stable sort and np.add.reduceat, which sums pairwise, so a
-    fold's grouping fixes the bits): once at the end, or, with fold_every,
-    each time that many weights are pending, the running sums first.
+    Above the cap add() keeps the (codes, weights) parts, and _sorted_sums
+    folds them (in the stable order of the codes, by np.add.reduceat, which
+    sums pairwise, so a fold's grouping fixes the bits): once at the end,
+    or, with fold_every, each time that many weights are pending, the
+    running sums first.
     """
 
     def __init__(self, span: int, fold_every: int | None = None):
@@ -263,36 +265,34 @@ class _CellSums:
             return nz, self.dense[nz]
         if not self.parts:
             return np.empty(0, np.int64), np.empty(0)
-        codes, weights = (np.concatenate(a) for a in zip(*self.parts))
-        return _sorted_sums(codes, weights, self.span)
+        return _sorted_sums(self.parts, self.span)
 
 
-def _sorted_sums(cells: np.ndarray, weights: np.ndarray, span: int):
-    """Sum weights per cell code in [0, span) through a stable sort and
-    np.add.reduceat. Returns (codes, sums) sorted."""
-    if cells.size == 0:
-        return cells, weights
-    order = _stable_order(cells, span)
-    cs = cells[order]
-    ws = weights[order]
-    starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-    return cs[starts], np.add.reduceat(ws, starts)
+def _sorted_sums(parts: list, span: int):
+    """Sum the weights of (codes, weights) parts per code in [0, span), in
+    np.argsort(kind="stable") order of the joined codes, by np.add.reduceat.
+    Returns (codes, sums) sorted.
 
-
-def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
-    """np.argsort(codes, kind="stable") for int64 codes in [0, span).
-
-    Built by least-significant-digit passes over 16-bit digits: numpy
-    radix-sorts uint16 keys, and stable passes from the lowest digit up
-    leave equal codes in input order, which is the stable permutation.
+    The joined codes become keys code << b | row in place, with b the bit
+    length of the last row: unique keys, so one unstable sort puts them in
+    the stable order, and the low b bits name each key's row. Keys of more
+    than 63 bits give way to the stable argsort itself.
     """
-    order = np.argsort(codes.astype(np.uint16), kind="stable")
-    shift = 16
-    while (span - 1) >> shift:
-        digit = (codes[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
+    codes, weights = (np.concatenate(a) for a in zip(*parts))
+    if codes.size == 0:
+        return codes, weights
+    b = (codes.size - 1).bit_length()
+    if (span - 1).bit_length() + b > 63:
+        order = np.argsort(codes, kind="stable")
+        codes, weights = codes[order], weights[order]
+    else:
+        codes <<= b
+        codes |= np.arange(codes.size)
+        codes.sort()
+        weights = weights[codes & ((1 << b) - 1)]
+        codes >>= b
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(weights, starts)
 
 
 def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,

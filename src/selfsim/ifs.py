@@ -441,7 +441,7 @@ def ifs_from_json(doc) -> tuple[HomogeneousIfs, np.ndarray]:
     for key in ("ambient_dim", "ratio", "translations"):
         if key not in doc:
             raise SpecError(f"IFS document missing field {key!r}")
-    dim = doc["ambient_dim"]
+    dim = parse_field(strict_int, doc["ambient_dim"], "ambient_dim")
     ratio = parse_field(float, doc["ratio"], "ratio")
     if dim == 1:
         sim = Similarity(ratio=ratio, sign=parse_field(strict_int, doc.get("sign", 1), "sign"))

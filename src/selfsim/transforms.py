@@ -451,10 +451,13 @@ def skip_keep_measure(m: SelfSimilarMeasure, k: int, part: str,
     raise SpecError("skip_keep part must be 'skip' or 'keep'")
 
 
-def resolve_spec(doc: dict, base_dir: str = "."):
+def resolve_spec(doc: dict, base_dir: str = ".", resolving: tuple = ()):
     """Interpret a measure document, following its derive clause if present.
 
     Returns a SelfSimilarMeasure, a ProjectedMeasure or a ConvolvedMeasure.
+    resolving holds the real paths of the documents whose derive clauses
+    lead here; an 'other' path naming one of them is a cycle and raises
+    SpecError.
     """
     base = SelfSimilarMeasure(*ifs_from_json(doc))
     derive = doc.get("derive")
@@ -471,12 +474,16 @@ def resolve_spec(doc: dict, base_dir: str = "."):
         if other is None:
             raise SpecError(f"{kind} derivation needs an 'other' reference")
         if isinstance(other, str):
-            other_doc = _load_json(os.path.join(base_dir, other))
+            path = os.path.join(base_dir, other)
+            real = os.path.realpath(path)
+            if real in resolving:
+                raise SpecError(f"cyclic 'other' reference: {path} is already being resolved")
+            other_doc, resolving = _load_json(path), (*resolving, real)
         elif isinstance(other, dict):
             other_doc = other
         else:
             raise SpecError("'other' must be a path or an inline document")
-        m2 = resolve_spec(other_doc, base_dir=base_dir)
+        m2 = resolve_spec(other_doc, base_dir, resolving)
         if kind == "product":
             _require_plain(m2)
             return SelfSimilarMeasure(*product_ifs(base.ifs, m2.ifs, base.p, m2.p))
@@ -503,4 +510,5 @@ def _load_json(path: str) -> dict:
 def load_measure_spec(path: str):
     """Load a measure document from disk, resolving relative references."""
     doc = _load_json(path)
-    return resolve_spec(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    return resolve_spec(doc, os.path.dirname(os.path.abspath(path)),
+                        (os.path.realpath(path),))

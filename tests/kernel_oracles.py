@@ -20,8 +20,7 @@ import numpy as np
 
 from selfsim import cylinder_words, dyadic_depth
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _box_range,
-                               _flat_code, _merge_close_points, _place_lower,
-                               _sorted_sums)
+                               _flat_code, _merge_close_points, _place_lower)
 
 # selfsim.histogram is the function; the modules are reached by name.
 _HISTOGRAM = importlib.import_module("selfsim.histogram")
@@ -59,9 +58,18 @@ def aggregate(cells: np.ndarray, weights: np.ndarray, span: int):
         acc = np.bincount(cells, weights=weights, minlength=span)
         nz = np.flatnonzero(acc)
         return nz, acc[nz]
+    return stable_sums(cells, weights)
+
+
+def stable_sums(cells: np.ndarray, weights: np.ndarray):
+    """Sum weights per cell code by np.add.reduceat over the runs of the
+    np.argsort(kind="stable") order. Returns (codes, sums) sorted."""
     if cells.size == 0:
         return cells, weights
-    return _sorted_sums(cells, weights, span)
+    order = np.argsort(cells, kind="stable")
+    cs, ws = cells[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+    return cs[starts], np.add.reduceat(ws, starts)
 
 
 def collecting_bin_cells(low_cells, low_w, t_lo, t_hi, w_upper, k_min, k_max,

@@ -237,6 +237,55 @@ def test_exit_codes(specs, tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_ambient_dim_takes_integral_values(tmp_path, capsys):
+    """"ambient_dim": 1.0 runs as 1 does, byte for byte; true is not an
+    integer and exits 2 naming the field."""
+    doc = tmp_path / "doc.json"
+    outs = []
+    for value in (1, 1.0):
+        doc.write_text(json.dumps(dict(GOLDEN, ambient_dim=value)))
+        out = tmp_path / f"ft_{value}.csv"
+        assert main(["fourier", "--ifs", str(doc), "--bands", "2",
+                     "--samples-per-band", "16", "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    doc.write_text(json.dumps(dict(GOLDEN, ambient_dim=True)))
+    capsys.readouterr()
+    assert main(["fourier", "--ifs", str(doc), "--bands", "2"]) == 2
+    assert "ambient_dim" in capsys.readouterr().err
+
+
+def test_cyclic_other_references(tmp_path, capsys):
+    """A derive.other path back to a document still being resolved, the
+    document itself or the start of a chain, exits 2 naming it; nesting
+    without a cycle, inline or by path, resolves and runs."""
+    def write(name, base, other, kind="convolution"):
+        (tmp_path / name).write_text(json.dumps(dict(base, derive={"kind": kind, "other": other})))
+        return str(tmp_path / name)
+
+    for start, names in ((write("self.json", C13, "self.json"), "self.json"),
+                         (write("a.json", C13, write("b.json", C14, "a.json")), "a.json")):
+        capsys.readouterr()
+        assert main(["dim", "--ifs", start, "--levels", "4..5"]) == 2
+        err = capsys.readouterr().err
+        assert "cyclic" in err and names in err
+    proj = dict(FOUR, derive={"kind": "projection", "beta": 1.0})
+    (tmp_path / "proj.json").write_text(json.dumps(proj))
+    for other in (proj, "proj.json"):
+        assert main(["dim", "--ifs", write("nest.json", C13, other),
+                     "--levels", "4..7", "-o", str(tmp_path / "nest.csv")]) == 0
+
+
+def test_out_of_memory_exits_3(specs, monkeypatch, capsys):
+    """A MemoryError from a kernel exits 3 with a message, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("selfsim.cli.decay_fit", exhausted)
+    assert main(["fourier", "--ifs", specs["golden"], "--bands", "2"]) == 3
+    assert "out of memory" in capsys.readouterr().err
+
+
 # Each subcommand's option strings; adding or removing a setting shows here.
 OPTIONS = {
     "dim": "--ifs --levels --extra-depth --guard --budget -o --out --q",

@@ -9,7 +9,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
@@ -17,10 +17,9 @@ from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      histogram, moment_sums, project_ifs, uniform_weights)
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
                                _box_range, _CellSums, _flat_code, _merge_close_points,
-                               _place_lower, _sorted_sums, _stable_order,
-                               bin_weighted_intervals)
+                               _place_lower, _sorted_sums, bin_weighted_intervals)
 
-from kernel_oracles import aggregate, collecting_histogram
+from kernel_oracles import aggregate, collecting_histogram, stable_sums
 
 
 def test_lebesgue_exact(lebesgue_unit):
@@ -658,15 +657,45 @@ def test_entropy_growth(cantor13):
                              1 << 47, 1 << 62]) | st.integers(1, 1 << 62),
        size=st.integers(0, 5000), distinct=st.integers(1, 300),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(span=1 << 62, size=4, distinct=4, seed=0)
+@example(span=1 << 61, size=4, distinct=4, seed=0)
 def test_stable_order_is_stable_argsort(span, size, distinct, seed):
-    """The 16-bit digit passes give np.argsort(kind="stable")'s permutation,
-    with many equal codes, over spans past 2^32, and on empty input."""
+    """The sorted sums of parts take np.argsort(kind="stable")'s order of
+    the joined codes, bit for bit: through unique keys code << b | row, and
+    through the stable argsort itself where a key would pass 63 bits (spans
+    near 2^62; the examples need 64 and 63 bits), with many equal codes,
+    and on empty input."""
     rng = np.random.default_rng(seed)
     pool = rng.integers(0, span, size=distinct, dtype=np.int64)
     pool[0] = span - 1
     codes = rng.choice(pool, size=size)
-    assert np.array_equal(_stable_order(codes, span),
-                          np.argsort(codes, kind="stable"))
+    weights = rng.random(size)
+    cuts = np.sort(rng.integers(0, size + 1, size=3))
+    idx, sums = _sorted_sums(list(zip(np.split(codes, cuts), np.split(weights, cuts))), span)
+    want_idx, want_sums = stable_sums(codes, weights)
+    assert np.array_equal(idx, want_idx)
+    assert sums.tobytes() == want_sums.tobytes()
+
+
+def test_sorted_sums_peak_memory():
+    """The over-cap sums of 2^20 rows in 2^15-row parts hold at most the
+    joined codes (turned into keys), the joined weights, the rows of the
+    sorted keys and the weights in that order: 32 traced bytes per row
+    (16-bit radix passes over the codes read 43)."""
+    rng = np.random.default_rng(9)
+    span, rows = 2897 ** 2, 1 << 20
+    pool = rng.integers(0, span, size=1 << 17)
+    sums = _CellSums(span)
+    for _ in range(0, rows, 1 << 15):
+        sums.add(rng.choice(pool, size=1 << 15), rng.random(1 << 15))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sums.sums()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * rows
 
 
 def test_dense_copy_keeps_sum_bits():
@@ -698,6 +727,6 @@ def test_sparse_aggregate_keeps_sum_bits():
     order = np.argsort(codes, kind="stable")
     cs, ws = codes[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-    idx, sums = _sorted_sums(codes, weights, span)
+    idx, sums = _sorted_sums([(codes, weights)], span)
     assert np.array_equal(idx, cs[starts])
     assert sums.tobytes() == np.add.reduceat(ws, starts).tobytes()
