@@ -263,24 +263,21 @@ class _CellSums:
             # np.nonzero of a bool mask is several times faster than of floats.
             nz = np.flatnonzero(self.dense != 0.0)
             return nz, self.dense[nz]
-        if not self.parts:
-            return np.empty(0, np.int64), np.empty(0)
         return _sorted_sums(self.parts, self.span)
 
 
 def _sorted_sums(parts: list, span: int):
-    """Sum the weights of (codes, weights) parts per code in [0, span), in
-    np.argsort(kind="stable") order of the joined codes, by np.add.reduceat.
-    Returns (codes, sums) sorted.
+    """Sum the weights of (codes, weights) parts per code in [0, span) by
+    np.add.reduceat, in the stable order of the joined codes. Returns
+    (codes, sums) sorted.
 
-    The joined codes become keys code << b | row in place, with b the bit
-    length of the last row: unique keys, so one unstable sort puts them in
-    the stable order, and the low b bits name each key's row. Keys of more
-    than 63 bits give way to the stable argsort itself.
+    The joined codes become unique keys code << b | row in place, so one
+    unstable sort gives the stable order and the low b bits the rows; keys
+    past 63 bits take np.argsort(kind="stable").
     """
+    if not any(c.size for c, _ in parts):
+        return np.empty(0, np.int64), np.empty(0)
     codes, weights = (np.concatenate(a) for a in zip(*parts))
-    if codes.size == 0:
-        return codes, weights
     b = (codes.size - 1).bit_length()
     if (span - 1).bit_length() + b > 63:
         order = np.argsort(codes, kind="stable")

@@ -209,7 +209,8 @@ MALFORMED = [(C13, "ratio", "x"), (C13, "ratio", None), (C13, "sign", "x"),
              (FOUR, "derive", {"kind": "projection", "beta": "x"}),
              (C13, "derive", {"kind": "skip_keep", "k": "x"}),
              (C13, "sign", -1.7),
-             (C13, "derive", {"kind": "skip_keep", "k": 2.9})]
+             (C13, "derive", {"kind": "skip_keep", "k": 2.9}),
+             (C13, "ambient_dim", True)]
 
 
 def test_exit_codes(specs, tmp_path, capsys):
@@ -237,9 +238,9 @@ def test_exit_codes(specs, tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
-def test_ambient_dim_takes_integral_values(tmp_path, capsys):
-    """"ambient_dim": 1.0 runs as 1 does, byte for byte; true is not an
-    integer and exits 2 naming the field."""
+def test_integral_float_ambient_dim(tmp_path):
+    """"ambient_dim": 1.0 runs as 1 does, byte for byte (true is in
+    MALFORMED)."""
     doc = tmp_path / "doc.json"
     outs = []
     for value in (1, 1.0):
@@ -249,10 +250,6 @@ def test_ambient_dim_takes_integral_values(tmp_path, capsys):
                      "--samples-per-band", "16", "-o", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    doc.write_text(json.dumps(dict(GOLDEN, ambient_dim=True)))
-    capsys.readouterr()
-    assert main(["fourier", "--ifs", str(doc), "--bands", "2"]) == 2
-    assert "ambient_dim" in capsys.readouterr().err
 
 
 def test_cyclic_other_references(tmp_path, capsys):
