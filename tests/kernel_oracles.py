@@ -6,7 +6,7 @@ reference that cylinder_words' rows are compared against.
 histogram() used to collect the cells and weights of the words it settles
 and bin them with the depth-h words in one call, and the convolution pair
 stage used to write pairs behind running sums in one buffer and fold them
-every _PAIR_CHUNK pairs. Both summed cell codes through _aggregate: one
+every _PAIR_CHUNK pairs. Both summed cell codes through aggregate: one
 np.bincount up to the dense cap, a stable sort and np.add.reduceat above
 it. The cap and the chunk are read when called, so a test that patches
 them small patches these oracles too.

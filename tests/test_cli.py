@@ -256,16 +256,17 @@ def test_cyclic_other_references(tmp_path, capsys):
     """A derive.other path back to a document still being resolved, the
     document itself or the start of a chain, exits 2 naming it; nesting
     without a cycle, inline or by path, resolves and runs."""
-    def write(name, base, other, kind="convolution"):
-        (tmp_path / name).write_text(json.dumps(dict(base, derive={"kind": kind, "other": other})))
+    def write(name, base, other):
+        (tmp_path / name).write_text(
+            json.dumps(dict(base, derive={"kind": "convolution", "other": other})))
         return str(tmp_path / name)
 
-    for start, names in ((write("self.json", C13, "self.json"), "self.json"),
+    for start, named in ((write("self.json", C13, "self.json"), "self.json"),
                          (write("a.json", C13, write("b.json", C14, "a.json")), "a.json")):
         capsys.readouterr()
         assert main(["dim", "--ifs", start, "--levels", "4..5"]) == 2
         err = capsys.readouterr().err
-        assert "cyclic" in err and names in err
+        assert "cyclic" in err and named in err
     proj = dict(FOUR, derive={"kind": "projection", "beta": 1.0})
     (tmp_path / "proj.json").write_text(json.dumps(proj))
     for other in (proj, "proj.json"):
