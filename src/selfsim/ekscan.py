@@ -330,11 +330,11 @@ def _children(centre: np.ndarray, half: float, bad: np.ndarray, moves: list,
         values = np.arange(rows.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
         child = _relax(np.take(bad, rows, axis=1),
                        np.abs(values - centre[rows]), moves, slots, inf, max_bad)
-        live = child.min(axis=0) < inf
-        pending_keys.append(keys_of(rows[live], values[live]))
+        live = np.flatnonzero(child.min(axis=0) < inf)
+        pending_keys.append(keys_of(rows.take(live), values.take(live)))
         pending += pending_keys[-1].size
         if merged is not None:
-            pending_bad.append(np.compress(live, child, axis=1))
+            pending_bad.append(child.take(live, axis=1))
         if not (pending >= max(keys.size, _MERGE_BATCH) or stop == centre.size
                 or (nodes is not None
                     and keys.size + pending > _NODE_BUDGET - nodes)):

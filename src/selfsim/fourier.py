@@ -264,9 +264,9 @@ def decay_fit(measure, bands: int, samples_per_band: int = 64,
     for k in range(bands):
         xs = xi0 * band_ratio ** (k + offsets)
         values, errs = measure.ft(xs, tol=tol)
-        # Python's abs per sample: numpy's complex abs can differ from it in
-        # the last bit, and the CSV keeps the scalar rounding.
-        vals = np.array([abs(v) for v in values.tolist()])
+        # The moduli of Python's abs, which calls libm hypot as np.hypot does;
+        # numpy's complex abs can differ from it in the last bit.
+        vals = np.hypot(values.real, values.imag)
         band_max[k] = vals.max()
         xi_all.append(xs)
         val_all.append(vals)

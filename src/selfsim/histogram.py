@@ -36,6 +36,14 @@ time, in row order, so each float temporary fits in cache rather than
 spanning the level; every per-element expression and every order of
 summation is that of one pass over the level, so blocks move no bit.
 
+Rows are selected by position, in row order (_take_rows): one
+np.flatnonzero per mask, then a take of every array that shares it. The
+settle test's settled and kept rows, binning's contained rows, the rows
+wider than one cell and those reaching each offset switch between kept
+and dropped every two or three rows, where a boolean index costs two to
+five times as much as this on numpy 2.4. Selection is exact and keeps
+the order, so every sum adds the same terms in the same order.
+
 Words of overlapping systems whose partial sums round to one multiple of
 2^-(n+40) are merged after each level. A system with word_gap g > 0 has
 distinct words' partial sums r^(d-1) g apart at depth d, at least
@@ -211,6 +219,13 @@ def _int_keys(centers: np.ndarray, scale: float) -> np.ndarray:
     return keys
 
 
+def _take_rows(mask: np.ndarray, *arrays) -> list:
+    """The rows of each array where mask holds, in row order: one
+    np.flatnonzero, then a take along the first axis of every array."""
+    rows = np.flatnonzero(mask)
+    return [a.take(rows, axis=0) for a in arrays]
+
+
 def _row_blocks(count: int):
     """Slices of _BLOCK_ROWS consecutive rows covering range(count)."""
     return (slice(s, s + _BLOCK_ROWS) for s in range(0, count, _BLOCK_ROWS))
@@ -335,8 +350,8 @@ def bin_weighted_intervals(e_lo: np.ndarray, e_hi: np.ndarray,
             for lo, hi in axes:
                 low.append(cell(lo, eps))
                 contained = contained & (low[-1] == cell(hi, -eps))
-            low = [c[contained] for c in low]
-            yield (low, w_lower[rows][contained], [cell(lo, -eps) for lo, _ in axes],
+            *low, low_w = _take_rows(contained, *low, w_lower[rows])
+            yield (low, low_w, [cell(lo, -eps) for lo, _ in axes],
                    [cell(hi, eps) for _, hi in axes], w_upper[rows])
 
     return _bin_cells(chunks(), np.atleast_1d(k_min), np.atleast_1d(k_max), sums)
@@ -377,11 +392,7 @@ def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
         if not any(offs):
             continue
         for t_lo, widths, w_upper in wide:
-            mask = widths[0] >= offs[0]
-            for w, off in zip(widths[1:], offs[1:]):
-                mask &= w >= off
-            upper.add(_flat_code([lo[mask] + off for lo, off in zip(t_lo, offs)], spans),
-                      w_upper[mask])
+            upper.add(*_offset_rows(t_lo, widths, w_upper, offs, spans))
 
     up_idx, up_sum = upper.sums()
     lo_idx, lo_sum = lower.sums()
@@ -390,6 +401,19 @@ def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
     else:
         indices = np.stack(np.unravel_index(up_idx, spans), axis=1) + np.asarray(k_min)
     return indices, _place_lower(up_idx, lo_idx, lo_sum), np.minimum(up_sum, 1.0)
+
+
+def _offset_rows(t_lo: list, widths: list, w_upper: np.ndarray, offs: tuple, spans: list):
+    """Flat codes of the cells at offset offs from t_lo and the weights, over
+    the rows at least offs wide on every axis; the selected rows die with
+    the call, not with the caller's loop."""
+    mask = widths[0] >= offs[0]
+    for width, off in zip(widths[1:], offs[1:]):
+        mask &= width >= off
+    *cells, weights = _take_rows(mask, *t_lo, w_upper)
+    for c, off in zip(cells, offs):
+        c += off
+    return _flat_code(cells, spans), weights
 
 
 def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, low_cells: list,
@@ -407,7 +431,8 @@ def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, low_cells: list
     for lo, w in zip(t_lo, widths):
         w -= lo
     wide = np.logical_or.reduce([w > 0 for w in widths])
-    return [lo[wide] for lo in t_lo], [w[wide] for w in widths], w_upper[wide]
+    *rows, w_wide = _take_rows(wide, *t_lo, *widths, w_upper)
+    return rows[:len(t_lo)], rows[len(t_lo):], w_wide
 
 
 def _to_box(cells: list, k_min, k_max) -> list:
@@ -508,11 +533,13 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
             np.floor(c, out=c)
             one_cell = lo == c
             done = one_cell if one_cell.ndim == 1 else one_cell[:, 0] & one_cell[:, 1]
-            cells = lo[done].astype(np.int64)
+            cells, w_done = _take_rows(done, lo, weights[rows])
+            cells = cells.astype(np.int64)
             settled.add(_flat_code(_to_box(list(np.atleast_2d(cells.T)), k0, k1), spans),
-                        weights[rows][done])
+                        w_done)
             np.logical_not(done, out=keep[rows])
-        return centers[keep], weights[keep]
+        centers, weights = _take_rows(keep, centers, weights)
+        return centers, weights
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
     # The depth-h balls: centres shifted in the rows' own array, and their radius.

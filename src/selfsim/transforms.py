@@ -171,6 +171,8 @@ def convolve_hist(h1: DyadicHistogram, h2: DyadicHistogram, u: float,
         r = int(res[rows[0]])
         rq = q[rows] - base
         first, last = (r + in_lo) // g, (r + in_hi) // g
+        # Boolean indices here and in _pair_sums: these masks keep most
+        # rows in long runs, where they beat selection by position.
         inside = first == last
         low_blocks.append((rq, h1.lower[rows],
                            *_column_sums(first[inside], h2.lower[inside])))
@@ -455,6 +457,8 @@ def resolve_spec(doc: dict, base_dir: str = ".", resolving: tuple = ()):
     """Interpret a measure document, following its derive clause if present.
 
     Returns a SelfSimilarMeasure, a ProjectedMeasure or a ConvolvedMeasure.
+    base_dir is the directory of the document doc comes from (an inline
+    'other' shares its parent's); an 'other' path is relative to it.
     resolving holds the real paths of the documents whose derive clauses
     lead here; an 'other' path naming one of them is a cycle and raises
     SpecError.
@@ -479,11 +483,12 @@ def resolve_spec(doc: dict, base_dir: str = ".", resolving: tuple = ()):
             if real in resolving:
                 raise SpecError(f"cyclic 'other' reference: {path} is already being resolved")
             other_doc, resolving = _load_json(path), (*resolving, real)
+            other_dir = os.path.dirname(path)
         elif isinstance(other, dict):
-            other_doc = other
+            other_doc, other_dir = other, base_dir
         else:
             raise SpecError("'other' must be a path or an inline document")
-        m2 = resolve_spec(other_doc, base_dir, resolving)
+        m2 = resolve_spec(other_doc, other_dir, resolving)
         if kind == "product":
             _require_plain(m2)
             return SelfSimilarMeasure(*product_ifs(base.ifs, m2.ifs, base.p, m2.p))

@@ -274,6 +274,31 @@ def test_cyclic_other_references(tmp_path, capsys):
                      "--levels", "4..7", "-o", str(tmp_path / "nest.csv")]) == 0
 
 
+def test_nested_other_paths_resolve_against_their_document(tmp_path, capsys):
+    """An 'other' path is relative to the document that names it: in
+    a.json -> sub/b.json -> c.json the last one is sub/c.json, and a
+    sub/a.json named from sub/b.json is not the top a.json. Both chains
+    then stop only because a convolution's factor must be a plain system."""
+    (tmp_path / "sub").mkdir()
+
+    def write(name, base, other=None):
+        doc = dict(base) if other is None else dict(
+            base, derive={"kind": "convolution", "other": other})
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    write("sub/b.json", C14, "c.json")
+    write("sub/c.json", C13)
+    start = write("a.json", C13, "sub/b.json")
+    for inner in ("c.json", "a.json"):
+        write("sub/b.json", C14, inner)
+        write("sub/a.json", C14)
+        capsys.readouterr()
+        assert main(["dim", "--ifs", start, "--levels", "4..5"]) == 2
+        err = capsys.readouterr().err
+        assert "expected a plain system, got a convolution" in err, err
+
+
 def test_out_of_memory_exits_3(specs, monkeypatch, capsys):
     """A MemoryError from a kernel exits 3 with a message, not a traceback."""
     def exhausted(*args, **kwargs):

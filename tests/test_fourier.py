@@ -247,6 +247,27 @@ def test_decay_fit_keeps_scalar_bits(golden_bc, biased13):
         assert _bits(prof.error_bound) == _bits(np.array([e for _, e in pairs])), name
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hypot_moduli_are_python_abs(seed):
+    """decay_fit takes moduli as np.hypot(real, imag): the bits of Python's
+    abs per value (both call libm hypot), where numpy's complex abs can
+    differ in the last bit. Random values with moduli in [1e-20, 1e5]."""
+    rng = np.random.default_rng(seed)
+    values = (10.0 ** rng.uniform(-20.0, 5.0, 4096)
+              * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4096)))
+    moduli = np.array([abs(v) for v in values.tolist()])
+    assert _bits(np.hypot(values.real, values.imag)) == _bits(moduli)
+
+
+def test_hypot_moduli_of_ft_batch(golden_bc, biased13):
+    """np.hypot of ft_batch's values keeps Python abs bits on every measure."""
+    for i, (name, measure) in enumerate(_batch_measures(golden_bc, biased13).items()):
+        vals, _ = measure.ft(_band_frequencies(i), tol=1e-12)
+        moduli = np.array([abs(v) for v in vals.tolist()])
+        assert _bits(np.hypot(vals.real, vals.imag)) == _bits(moduli), name
+
+
 def test_ft_bits_frozen(golden_bc, biased13):
     """Values and bounds pinned to the bit, as the one-sample-at-a-time
     kernel computed them; the CSV output of fourier depends on each bit."""

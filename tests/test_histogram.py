@@ -17,7 +17,8 @@ from selfsim import (BudgetError, HomogeneousIfs, PrecisionError, Similarity,
                      histogram, moment_sums, project_ifs, uniform_weights)
 from selfsim.histogram import (_EPS_BASE, _MERGE_GUARD_BITS, _PAIR_HASH,
                                _box_range, _CellSums, _flat_code, _merge_close_points,
-                               _place_lower, _sorted_sums, bin_weighted_intervals)
+                               _place_lower, _sorted_sums, _take_rows,
+                               bin_weighted_intervals)
 
 from kernel_oracles import aggregate, collecting_histogram, stable_sums
 
@@ -474,12 +475,49 @@ def test_histogram_matches_collecting_oracle(system, n, extra_depth, cap, block)
         _assert_matches_collecting(ifs, p, n, extra_depth)
 
 
-@pytest.mark.parametrize("n,extra_depth", [(10, 2), (11, 1)])
-def test_rotating_histogram_matches_collecting_oracle(n, extra_depth):
+@st.composite
+def _row_masks(draw):
+    """Empty, full, alternating, run-structured and random masks."""
+    rows = draw(st.integers(0, 3000))
+    kind = draw(st.sampled_from(["empty", "full", "alternating", "runs", "random"]))
+    if kind in ("empty", "full"):
+        return np.full(rows, kind == "full")
+    if kind == "alternating":
+        return np.arange(rows) % 2 == draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return rng.random(rows) < draw(st.floats(0.0, 1.0))
+    run = draw(st.integers(1, 64))
+    return np.repeat(rng.random(rows // run + 1) < 0.5, run)[:rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=_row_masks())
+def test_take_rows_matches_boolean_indexing(mask):
+    """Selecting rows by position gives boolean indexing's values, dtype,
+    shape and row order, on 1D and (rows, 2) arrays."""
+    rows = mask.size
+    arrays = [np.arange(rows) * 0.5 - 7.0, np.arange(rows, dtype=np.int64)[::-1].copy(),
+              np.arange(2 * rows, dtype=float).reshape(rows, 2) ** 1.5]
+    got = _take_rows(mask, *arrays)
+    assert len(got) == len(arrays)
+    for g, a in zip(got, arrays):
+        want = a[mask]
+        assert g.dtype == want.dtype and g.shape == want.shape
+        assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("n,extra_depth,block", [
+    (10, 2, 1 << 15), (11, 1, 1 << 15), (10, 2, 500), (11, 1, 500)],
+    ids=["10-2", "11-1", "10-2-block-500", "11-1-block-500"])
+def test_rotating_histogram_matches_collecting_oracle(n, extra_depth, block, monkeypatch):
     """The rotating four-corner set at the real cap: its box has 1449^2
-    cells at n = 10 (dense sums) and 2897^2 > 2^23 at n = 11 (sorted)."""
+    cells at n = 10 (dense sums) and 2897^2 > 2^23 at n = 11 (sorted).
+    Blocks of 500 rows put many block edges in the 2D settle test and
+    binning, whose rows are selected by position."""
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=golden), _CORNERS)
+    monkeypatch.setattr(HISTOGRAM, "_BLOCK_ROWS", block)
     hist = histogram(ifs, uniform_weights(4), n, extra_depth=extra_depth)
     spans = np.asarray(hist.k_max) - np.asarray(hist.k_min) + 1
     assert (math.prod(spans.tolist()) > HISTOGRAM._DENSE_SPAN_CAP) == (n == 11)
