@@ -538,8 +538,7 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
             settled.add(_flat_code(_to_box(list(np.atleast_2d(cells.T)), k0, k1), spans),
                         w_done)
             np.logical_not(done, out=keep[rows])
-        centers, weights = _take_rows(keep, centers, weights)
-        return centers, weights
+        return _take_rows(keep, centers, weights)
 
     centers, weights = cylinder_words(ifs, p, h, word_budget, merge_and_settle)
     # The depth-h balls: centres shifted in the rows' own array, and their radius.

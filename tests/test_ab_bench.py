@@ -62,6 +62,18 @@ def test_parent_spread_over_the_bound_is_unresolved():
     assert out["parent_iqr_over_median"] > 0.05
 
 
+def test_every_run_better_resolves_a_wide_spread():
+    """A parent spread over the bound does not leave the metric unresolved
+    when every run of the change beats every run of the parent."""
+    parent = [76.3, 82.5, 76.3, 82.5, 76.2, 82.6, 76.4, 82.4, 76.3, 82.5]
+    out = ab_bench.summarize(parent, [v - 7.0 for v in parent], "lower", 0.05)
+    assert out["parent_iqr_over_median"] > 0.05
+    assert out["verdict"] == "within bound"
+    change = [70.0] * 9 + [76.2]
+    out = ab_bench.summarize(parent, change, "lower", 0.05)
+    assert out["verdict"].startswith("unresolved")
+
+
 def test_higher_is_better():
     """ok_frac: equal runs tie; a lower share of passing runs regresses."""
     ones = [1.0] * 10
@@ -105,6 +117,22 @@ def test_workload_totals():
     assert out["metrics"]["wall_s"]["change_wins"] == 2
     runs[1] = (6, result(1.1, correct=False), result(0.9))
     assert not ab_bench.summarize_workload(runs, spec)["correct"]
+
+
+def test_more_failures_show_no_gain():
+    """A clear gain is not shown when the change fails more operations."""
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+
+    def result(wall, failed):
+        return {"correct": True, "attempted": 8, "failed": failed,
+                "metrics": {"wall_s": wall}}
+
+    runs = [(i, result(p, 1), result(0.85 * p, 1)) for i, p in enumerate(PARENT)]
+    assert ab_bench.summarize_workload(runs, spec)["metrics"]["wall_s"]["gain_shown"]
+    runs[3] = (3, result(PARENT[3], 1), result(0.85 * PARENT[3], 2))
+    out = ab_bench.summarize_workload(runs, spec)
+    assert out["failed"] == {"parent": 10, "change": 11}
+    assert not out["metrics"]["wall_s"]["gain_shown"]
 
 
 def _fake_checkout(root, wall, log):

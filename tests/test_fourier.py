@@ -260,14 +260,6 @@ def test_hypot_moduli_are_python_abs(seed):
     assert _bits(np.hypot(values.real, values.imag)) == _bits(moduli)
 
 
-def test_hypot_moduli_of_ft_batch(golden_bc, biased13):
-    """np.hypot of ft_batch's values keeps Python abs bits on every measure."""
-    for i, (name, measure) in enumerate(_batch_measures(golden_bc, biased13).items()):
-        vals, _ = measure.ft(_band_frequencies(i), tol=1e-12)
-        moduli = np.array([abs(v) for v in vals.tolist()])
-        assert _bits(np.hypot(vals.real, vals.imag)) == _bits(moduli), name
-
-
 def test_ft_bits_frozen(golden_bc, biased13):
     """Values and bounds pinned to the bit, as the one-sample-at-a-time
     kernel computed them; the CSV output of fourier depends on each bit."""

@@ -508,16 +508,18 @@ def test_take_rows_matches_boolean_indexing(mask):
 
 
 @pytest.mark.parametrize("n,extra_depth,block", [
-    (10, 2, 1 << 15), (11, 1, 1 << 15), (10, 2, 500), (11, 1, 500)],
+    (10, 2, None), (11, 1, None), (10, 2, 500), (11, 1, 500)],
     ids=["10-2", "11-1", "10-2-block-500", "11-1-block-500"])
 def test_rotating_histogram_matches_collecting_oracle(n, extra_depth, block, monkeypatch):
     """The rotating four-corner set at the real cap: its box has 1449^2
     cells at n = 10 (dense sums) and 2897^2 > 2^23 at n = 11 (sorted).
     Blocks of 500 rows put many block edges in the 2D settle test and
-    binning, whose rows are selected by position."""
+    binning, whose rows are selected by position; block None keeps the
+    module's own block size."""
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     ifs = HomogeneousIfs(2, Similarity(ratio=1 / 3, alpha=golden), _CORNERS)
-    monkeypatch.setattr(HISTOGRAM, "_BLOCK_ROWS", block)
+    if block is not None:
+        monkeypatch.setattr(HISTOGRAM, "_BLOCK_ROWS", block)
     hist = histogram(ifs, uniform_weights(4), n, extra_depth=extra_depth)
     spans = np.asarray(hist.k_max) - np.asarray(hist.k_min) + 1
     assert (math.prod(spans.tolist()) > HISTOGRAM._DENSE_SPAN_CAP) == (n == 11)

@@ -7,8 +7,8 @@ Usage, from the repository root:
         --first-seed 2001 --pairs 10 -o ab.json
 
 For each workload, pair i runs `perfbench/run.py --workload W --seed S
---seconds T --trace 0` once in each checkout (T defaults to the run length
-of BENCHMARK.json), with seed S = first seed + i
+--seconds T --trace 0` once in each checkout, with T the run length of
+BENCHMARK.json and seed S = first seed + i
 (workloads after the first go on from the last seed used). The parent runs
 first in even pairs and the change first in odd ones, one process at a
 time, each from its own checkout's `src/` and `perfbench/`. The metrics,
@@ -35,10 +35,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VERDICT_RULE = (
     "per metric: 'regressed' if the change's median is worse than the parent's "
     "by more than the bound (relative); otherwise 'unresolved' where the "
-    "parent's interquartile range over its median exceeds the bound, else "
-    "'within bound'. gain_shown: the change wins at least 9 in 10 pairs and "
-    "its median is better than the parent's by more than the parent's "
-    "interquartile range. Quartiles: statistics.quantiles(n=4).")
+    "parent's interquartile range over its median exceeds the bound and some "
+    "run of the change is no better than some run of the parent, else "
+    "'within bound'. gain_shown: the change wins at least 9 in 10 pairs, its "
+    "median is better than the parent's by more than the parent's "
+    "interquartile range, and it fails no more operations than the parent. "
+    "Quartiles: statistics.quantiles(n=4).")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -78,9 +80,10 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     base = abs(p["median"])
     spread = iqr / base if base else (0.0 if iqr == 0.0 else math.inf)
     worse = sign * (c["median"] - p["median"])
+    every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
     if worse > bound * base:
         verdict = "regressed"
-    elif spread > bound:
+    elif spread > bound and not every_run_better:
         verdict = "unresolved: parent spread over bound"
     else:
         verdict = "within bound"
@@ -96,7 +99,8 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
 
 
 def summarize_workload(runs: list, spec: dict) -> dict:
-    """runs holds (seed, parent result, change result) per pair."""
+    """runs holds (seed, parent result, change result) per pair. No metric
+    shows a gain when the change fails more operations than the parent."""
     out = {
         "seeds": [seed for seed, _, _ in runs], "pairs": len(runs),
         "correct": all(r["correct"] for _, *pair in runs for r in pair),
@@ -111,6 +115,8 @@ def summarize_workload(runs: list, spec: dict) -> dict:
         out["metrics"][name] = summarize(
             [p["metrics"][name] for _, p, _ in runs],
             [c["metrics"][name] for _, _, c in runs], m["better"], m["bound"])
+        if out["failed"]["change"] > out["failed"]["parent"]:
+            out["metrics"][name]["gain_shown"] = False
     return out
 
 
@@ -121,13 +127,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("-o", "--out", required=True)
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = float(spec["run_seconds"] if args.seconds is None else args.seconds)
+    seconds = float(spec["run_seconds"])
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     report = {
