@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .dimension import estimate_D1, estimate_Dq, table_from_histograms
-from .ekscan import EkSpec, ek_badness, ek_count_sequences, ek_sweep
+from .ekscan import _KIND_PARAMS, _KINDS, EkSpec, ek_badness, ek_count_sequences, ek_sweep
 from .errors import BudgetError, SelfsimError, SpecError, UsageError
 from .fourier import decay_fit
 from .ifs import check_strong_separation, entropy, similarity_dimension
@@ -96,6 +98,8 @@ def _cmd_dim(args) -> None:
         if abs(q - 1.0) < 1e-12 or q <= 0:
             raise SpecError("q must be positive and not 1; use the entropy "
                             "subcommand for q = 1")
+        if not math.isfinite(q):
+            raise SpecError(f"q must be finite, got {q}")
     hists = _measure_levels(measure, n_min, n_max, args)
     table = table_from_histograms(hists, q_list)
     header = ["q", "n", "S_lower", "S_upper", "slope_fit", "D_lo", "D_hi"]
@@ -167,26 +171,19 @@ def _cmd_skipkeep(args) -> None:
                                             word_budget=args.budget))
 
 
-def _ek_fixed_params(args, kind: str, exclude: str | None = None) -> dict:
-    if kind == "translations":
-        params = {"lam": args.lam, "u": args.u}
-    elif kind == "projections":
-        params = {"theta": args.theta, "alpha": args.alpha, "beta": args.beta}
-    else:
-        params = {"theta1": args.theta1, "theta2": args.theta2, "u": args.u}
-    if exclude is not None:
-        params.pop(exclude, None)
-    return {k: v for k, v in params.items() if v is not None}
+def _ek_fixed_params(args, exclude: str | None = None) -> dict:
+    """The parameters of args.kind that are set, less exclude."""
+    return {name: getattr(args, name) for name in _KIND_PARAMS[args.kind]
+            if name != exclude and getattr(args, name) is not None}
 
 
 def _cmd_ekscan(args) -> None:
     spec = EkSpec(kind=args.kind, N=args.N, c=args.c, t_grid=args.t_grid,
-                  **_ek_fixed_params(args, args.kind))
+                  **_ek_fixed_params(args))
     rep = ek_badness(spec)
-    primary = {"translations": spec.lam, "projections": spec.theta,
-               "convolutions": spec.theta1}[args.kind]
     _emit(args.out, ["parameter", "badness", "witness_t"],
-          [[primary], [rep.badness], [rep.witness_t]])
+          [[getattr(spec, _KIND_PARAMS[args.kind][0])], [rep.badness],
+           [rep.witness_t]])
 
 
 def _cmd_ekcount(args) -> None:
@@ -197,7 +194,7 @@ def _cmd_ekcount(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    fixed = _ek_fixed_params(args, args.kind, exclude=args.vary)
+    fixed = _ek_fixed_params(args, exclude=args.vary)
     rows = ek_sweep(args.kind, fixed, args.vary, args.lo, args.hi, args.steps,
                     args.N, args.c, t_grid=args.t_grid, jobs=args.jobs)
     _emit(args.out, ["parameter", "badness", "witness_t"], list(zip(*rows)))
@@ -253,17 +250,18 @@ def _add_common(sp, levels_default=None, guard=True):
     sp.add_argument("-o", "--out", default=None, help="output CSV path")
 
 
+def _ek_param_fields() -> list:
+    """The EkSpec fields some scanner kind reads, in field order."""
+    read = set().union(*_KIND_PARAMS.values())
+    return [f for f in fields(EkSpec) if f.name in read]
+
+
 def _add_ek_params(sp):
     sp.add_argument("--N", type=int, default=30)
     sp.add_argument("--c", type=float, default=0.1)
     sp.add_argument("--t-grid", type=int, default=4096)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--u", type=float, default=1.0)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--theta1", type=float, default=None)
-    sp.add_argument("--theta2", type=float, default=None)
+    for f in _ek_param_fields():
+        sp.add_argument(f"--{f.name}", type=float, default=f.default)
     sp.add_argument("-o", "--out", default=None)
 
 
@@ -316,8 +314,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_skipkeep)
 
     sp = sub.add_parser("ekscan", help="exceptional-parameter badness scan")
-    sp.add_argument("kind", choices=("translations", "projections",
-                                     "convolutions"))
+    sp.add_argument("kind", choices=_KINDS)
     _add_ek_params(sp)
     sp.set_defaults(func=_cmd_ekscan)
 
@@ -332,11 +329,9 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_ekcount)
 
     sp = sub.add_parser("sweep", help="badness across a parameter grid")
-    sp.add_argument("kind", choices=("translations", "projections",
-                                     "convolutions"))
+    sp.add_argument("kind", choices=_KINDS)
     sp.add_argument("--vary", required=True,
-                    choices=("lam", "u", "theta", "theta1", "theta2",
-                             "alpha", "beta"))
+                    choices=[f.name for f in _ek_param_fields()])
     sp.add_argument("--lo", type=float, required=True)
     sp.add_argument("--hi", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)

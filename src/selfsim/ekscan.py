@@ -33,7 +33,13 @@ import numpy as np
 
 from .errors import BudgetError, PrecisionError, SpecError
 
-_KINDS = ("translations", "projections", "convolutions")
+# The EkSpec fields each kind reads, its main parameter first.
+_KIND_PARAMS = {
+    "translations": ("lam", "u"),
+    "projections": ("theta", "alpha", "beta"),
+    "convolutions": ("theta1", "theta2", "u"),
+}
+_KINDS = tuple(_KIND_PARAMS)
 _COUNT_N_CAP = 22
 _NODE_BUDGET = 5_000_000
 # t-grid entries (grid points x indices) ek_badness tests at once.
@@ -184,34 +190,26 @@ def ek_badness(spec: EkSpec) -> EkReport:
     t = np.linspace(1.0, spec.t_upper, spec.t_grid)
 
     if spec.kind == "translations":
-        theta = 1.0 / spec.lam
-        pows = theta ** ns.astype(float)
-        peak = max(abs(spec.u), 1.0) * pows[-1] * spec.t_upper
-        cols = (pows, spec.u * pows)
+        pows = (1.0 / spec.lam) ** ns.astype(float)
+        cols = [pows, spec.u * pows]
     elif spec.kind == "projections":
-        coef = spec.theta ** ns.astype(float) * np.cos(spec.beta + ns * spec.alpha)
-        peak = float(np.max(np.abs(coef))) * spec.t_upper
-        cols = (coef, None)
+        cols = [spec.theta ** ns.astype(float) * np.cos(spec.beta + ns * spec.alpha)]
     else:
         ks = _conv_k_of_n(spec.theta1, spec.theta2, ns)
-        pow1 = spec.theta1 ** ns.astype(float)
-        pow2 = spec.u * spec.theta2 ** ks.astype(float)
-        peak = max(float(np.max(np.abs(pow1))), float(np.max(np.abs(pow2)))) * spec.t_upper
-        cols = (pow1, pow2)
+        cols = [spec.theta1 ** ns.astype(float), spec.u * spec.theta2 ** ks.astype(float)]
 
+    peak = max(float(np.max(np.abs(col))) for col in cols) * spec.t_upper
     if peak >= 2.0 ** 52:
         raise PrecisionError(
             f"powers reach {peak:.3g}, beyond exact integer-distance range")
 
     # With |u| = 1 the second translations column is +-x1 exactly, and
     # round-half-even is symmetric, so it cannot change the mask.
-    masked = [cols[0]]
-    if cols[1] is not None and not (spec.kind == "translations"
-                                    and abs(spec.u) == 1.0):
-        masked.append(cols[1])
+    if spec.kind == "translations" and abs(spec.u) == 1.0:
+        cols.pop()
     # Chunks of about _GRID_CHUNK entries stay in cache.
     step = min(t.size, max(1, _GRID_CHUNK // spec.N))
-    grids = [np.repeat(col[:, None], step, axis=1) for col in masked]
+    grids = [np.repeat(col[:, None], step, axis=1) for col in cols]
     work = [np.empty((spec.N, step), dtype=d) for d in (float, float, bool, bool)]
     counts = np.empty(t.size, dtype=np.int32)
     for i in range(0, t.size, step):
@@ -531,11 +529,15 @@ def ek_sweep(kind: str, fixed: dict, vary: str, lo: float, hi: float,
     """Run ek_badness across a parameter grid.
 
     Returns rows (value, badness, witness_t) sorted by the swept value.
-    Results are independent of jobs; workers only change wall time. The
-    worker count is clamped to the number of steps and of CPUs.
+    vary must be a parameter the kind reads. Results are independent of
+    jobs; workers only change wall time. The worker count is clamped to the
+    number of steps and of CPUs.
     """
     if steps < 1:
         raise SpecError("steps must be >= 1")
+    if kind in _KIND_PARAMS and vary not in _KIND_PARAMS[kind]:
+        raise SpecError(f"cannot vary {vary!r}: {kind} scans read only "
+                        f"{', '.join(_KIND_PARAMS[kind])}")
     if steps == 1:
         values = [float(lo)]
     else:

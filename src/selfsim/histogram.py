@@ -384,7 +384,7 @@ def _bin_cells(chunks, k_min, k_max, sums: _CellSums | None = None):
     spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
     lower = sums if sums is not None else _CellSums(math.prod(spans))
     upper = lower.copy()
-    wide = [_bin_chunk(lower, upper, k_min, k_max, *chunk) for chunk in chunks]
+    wide = [_bin_chunk(lower, upper, k_min, k_max, spans, *chunk) for chunk in chunks]
     # The widest row on each axis bounds the offsets.
     reach = [max([int(widths[a].max(initial=0)) for _, widths, _ in wide], default=0) + 1
              for a in range(len(spans))]
@@ -416,15 +416,15 @@ def _offset_rows(t_lo: list, widths: list, w_upper: np.ndarray, offs: tuple, spa
     return _flat_code(cells, spans), weights
 
 
-def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, low_cells: list,
-               low_w: np.ndarray, t_lo: list, t_hi: list, w_upper: np.ndarray):
+def _bin_chunk(lower: _CellSums, upper: _CellSums, k_min, k_max, spans: list,
+               low_cells: list, low_w: np.ndarray, t_lo: list, t_hi: list,
+               w_upper: np.ndarray):
     """Add one chunk's lower masses and its upper masses at offset 0.
 
     Returns (t_lo, widths, w_upper) of the rows wider than one cell on
     some axis, for the other offsets: per-axis cells in the box, per-axis
     widths in cells and the weights.
     """
-    spans = [int(k1 - k0 + 1) for k0, k1 in zip(k_min, k_max)]
     lower.add(_flat_code(_to_box(low_cells, k_min, k_max), spans), low_w)
     upper.add(_flat_code(_to_box(t_lo, k_min, k_max), spans), w_upper)
     widths = _to_box(t_hi, k_min, k_max)
@@ -552,12 +552,12 @@ def histogram(ifs: HomogeneousIfs, p, n: int, extra_depth: int = 4,
 def moment_sums(hist: DyadicHistogram, q: float) -> tuple[float, float]:
     """Bounds (S_lower, S_upper) for the moment sum S_{n,q} = sum mu(I)^q.
 
-    Valid for any q > 0 except 1: since x -> x^q is increasing on [0, 1],
+    Valid for any finite q > 0 except 1: since x -> x^q is increasing on [0, 1],
     raising the per-cell lower and upper masses to the q preserves the
     bracket regardless of whether q is above or below 1.
     """
-    if q <= 0.0:
-        raise SpecError(f"moment order q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise SpecError(f"moment order q must be positive and finite, got {q}")
     if abs(q - 1.0) < 1e-12:
         raise SpecError("q = 1 is the entropy case, use entropy_sum")
     lo = hist.lower[hist.lower > 0.0]

@@ -203,13 +203,12 @@ def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None 
     """
     if length < 1:
         raise SpecError("word length must be >= 1")
-    budget = WORD_BUDGET if word_budget is None else word_budget
     p = check_weights(p, ifs.m)
     a = ifs.translations.astype(float)
     # Level j appends the symbol at position j + 1 to the empty word.
     centers, weights = np.zeros((1,) + a.shape[1:]), np.ones(1)
     for j in range(length):
-        _check_rows(centers.shape[0] * ifs.m, j + 1, budget)
+        _check_rows(centers.shape[0] * ifs.m, j + 1, word_budget)
         step = ifs.apply_power(j, a)
         centers = (centers[:, None] + step[None, :]).reshape(-1, *a.shape[1:])
         weights = (weights[:, None] * p[None, :]).ravel()
@@ -218,8 +217,9 @@ def cylinder_words(ifs: HomogeneousIfs, p, length: int, word_budget: int | None 
     return centers, weights
 
 
-def _check_rows(rows: int, depth: int, budget: int) -> None:
-    """Raise BudgetError when a level of rows words at depth exceeds budget."""
+def _check_rows(rows: int, depth: int, word_budget: int | None) -> None:
+    """Raise BudgetError when rows words at depth exceed word_budget (None: WORD_BUDGET)."""
+    budget = WORD_BUDGET if word_budget is None else word_budget
     if rows > budget:
         raise BudgetError(
             f"word expansion needs {rows} rows at depth {depth}, over the budget {budget}")
@@ -323,9 +323,8 @@ def check_strong_separation(ifs: HomogeneousIfs, depth: int,
     # The shifted centres have coordinates of at most 2 A / (1 - r).
     err = centre_error(ifs, depth) + 2.0 ** -52 * ifs.coarse_radius
     if word_gap(ifs) - 2.0 * math.sqrt(ifs.ambient_dim) * err > gap:
-        budget = WORD_BUDGET if word_budget is None else word_budget
         for k in range(1, depth + 1):
-            _check_rows(ifs.m ** k, k, budget)
+            _check_rows(ifs.m ** k, k, word_budget)
         return SeparationCertificate("Separated", depth)
     centers = cylinder_words(ifs, uniform_weights(ifs.m), depth, word_budget)[0]
     centers += ifs.apply_power(depth, ifs.attractor_center)

@@ -54,7 +54,7 @@ def project_ifs(ifs: HomogeneousIfs, p, beta: float):
     """
     if ifs.ambient_dim != 2:
         raise SpecError("project_ifs needs a 2D system")
-    if ifs.map.alpha not in (0.0,) and abs(ifs.map.alpha) > 1e-15:
+    if abs(ifs.map.alpha) > 1e-15:
         raise SpecError("projection of rotating systems is not self-similar; "
                         "use Fourier restriction or histogram pushforward")
     p = check_weights(p, ifs.m)

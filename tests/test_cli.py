@@ -365,7 +365,9 @@ NON_FINITE = [["fourier", "--ifs", "{golden}", "--bands", "2", "--xi0", "1e308"]
               ["convolve", "--ifs", "{c13}", "--other", "{c14}", "--u", "inf"],
               ["ekcount", "convolutions", "--theta1", "inf"],
               ["ekcount", "translations", "--theta", "nan"],
-              ["ekscan", "translations", "--lam", "0.6", "--u", "nan"]]
+              ["ekscan", "translations", "--lam", "0.6", "--u", "nan"],
+              ["dim", "--ifs", "{c13}", "--q", "nan"],
+              ["dim", "--ifs", "{c13}", "--q=inf"]]
 
 
 @pytest.mark.parametrize("argv", NON_FINITE, ids=" ".join)

@@ -1,5 +1,7 @@
 """Near-integer badness scans and admissible sequence counting."""
 
+import argparse
+import dataclasses
 import itertools
 import math
 import os
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from selfsim import (BudgetError, EkSpec, PrecisionError, SpecError,
                      centered_frac, ek_badness, ek_count_sequences, ek_sweep)
 from selfsim import ekscan
-from selfsim.cli import main
+from selfsim.cli import _build_parser, main
 from selfsim.ekscan import _clamp_jobs, _first_frontier, _good, _relax
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -299,6 +301,54 @@ def test_precision_guard():
     with pytest.raises(Exception) as err:
         ek_badness(EkSpec(kind="translations", N=200, c=0.1, lam=0.5))
     assert err.value.exit_code == 4
+
+
+# Powers of 2 put each raising case exactly on the bound 2^52, or for
+# projections, whose cos(n alpha) stays just below 1, one level past it.
+@pytest.mark.parametrize("params,N,raises", [
+    ({"kind": "translations", "lam": 0.5}, 51, True),
+    ({"kind": "translations", "lam": 0.5}, 50, False),
+    ({"kind": "translations", "lam": 0.5, "u": -2.0 ** 11}, 40, True),
+    ({"kind": "translations", "lam": 0.5, "u": 2.0 ** 10}, 40, False),
+    ({"kind": "projections", "theta": 2.0, "alpha": 2 * math.pi - 1e-9}, 52, True),
+    ({"kind": "projections", "theta": 2.0, "alpha": 2 * math.pi - 1e-9}, 50, False),
+    ({"kind": "convolutions", "theta1": 2.0, "theta2": 4.0, "u": -2.0 ** 11}, 40, True),
+    ({"kind": "convolutions", "theta1": 2.0, "theta2": 4.0, "u": 2.0 ** 10}, 40, False)])
+def test_precision_guard_peak(params, N, raises):
+    """Each kind raises PrecisionError exactly when the largest |entry| of
+    its columns times t_upper reaches 2^52; a second column with |u| > 1
+    can decide it."""
+    spec = EkSpec(N=N, c=0.1, t_grid=64, **params)
+    if raises:
+        with pytest.raises(PrecisionError):
+            ek_badness(spec)
+    else:
+        ek_badness(spec)
+
+
+def test_kind_params_are_spec_fields():
+    """Every parameter a kind reads is an EkSpec field, named once, and
+    every --vary choice is read by some kind."""
+    names = {f.name for f in dataclasses.fields(EkSpec)}
+    for params in ekscan._KIND_PARAMS.values():
+        assert set(params) <= names and len(set(params)) == len(params)
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    vary = next(a for a in sub.choices["sweep"]._actions if a.dest == "vary")
+    assert set(vary.choices) == set().union(*ekscan._KIND_PARAMS.values())
+
+
+def test_sweep_refuses_unread_parameter(capsys):
+    """Varying a parameter the kind never reads exits 2 naming the ones it
+    does; an unknown kind keeps EkSpec's message."""
+    with pytest.raises(SpecError, match="lam, u"):
+        ek_sweep("translations", {"lam": 0.6}, "theta", 1.5, 2.0, 3, 10, 0.1)
+    with pytest.raises(SpecError, match="kind must be one of"):
+        ek_sweep("nonsense", {}, "theta", 1.5, 2.0, 3, 10, 0.1)
+    assert main(["sweep", "translations", "--vary", "theta", "--lo", "1.5",
+                 "--hi", "2", "--steps", "3", "--lam", "0.6"]) == 2
+    err = capsys.readouterr().err
+    assert "lam" in err and "u" in err
 
 
 def test_count_convolutions_frozen():

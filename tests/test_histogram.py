@@ -419,12 +419,13 @@ _HALF_TURN = HomogeneousIfs(2, Similarity(ratio=(math.sqrt(5.0) - 1.0) / 2.0, al
 
 @pytest.mark.parametrize("ifs,n,extra_depth,block", [
     (_GOLDEN_BC, 14, 4, 1 << 15), (_HALF_TURN, 7, 1, 1 << 15),
-    (_GOLDEN_BC, 14, 4, 7), (_HALF_TURN, 7, 1, 7)],
-    ids=["golden-14", "half-turn-7", "golden-14-block-7", "half-turn-7-block-7"])
+    (_GOLDEN_BC, 11, 4, 7), (_HALF_TURN, 5, 1, 7)],
+    ids=["golden-14", "half-turn-7", "golden-11-block-7", "half-turn-5-block-7"])
 def test_merging_histograms_bit_identical(ifs, n, extra_depth, block, monkeypatch):
     """Deep levels of both merging systems, where most calls merge rows,
     against the oracle at the default block size; blocks of 7 rows run
-    the settle test, the 2D merge keys and binning in many."""
+    the settle test, the 2D merge keys and binning in thousands of blocks,
+    at smaller levels that still merge at 3 or more depths."""
     p = uniform_weights(ifs.m)
     idx, lower, upper = _ends_histogram(ifs, p, n, extra_depth)
     merging = []
@@ -663,6 +664,14 @@ def test_moment_sums_rejects_q_one(cantor13):
         moment_sums(h, 1.0)
     with pytest.raises(SpecError):
         moment_sums(h, -2.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_moment_sums_rejects_non_finite_q(cantor13, q):
+    """A NaN or infinite order is refused, not summed to (nan, nan) or (0, 0)."""
+    ifs, p = cantor13
+    with pytest.raises(SpecError, match="q must be positive and finite"):
+        moment_sums(histogram(ifs, p, 4), q)
 
 
 def test_entropy_sum_lebesgue(lebesgue_unit):
