@@ -172,9 +172,10 @@ def _cmd_skipkeep(args) -> None:
 
 
 def _ek_fixed_params(args, exclude: str | None = None) -> dict:
-    """The parameters of args.kind that are set, less exclude."""
-    return {name: getattr(args, name) for name in _KIND_PARAMS[args.kind]
-            if name != exclude and getattr(args, name) is not None}
+    """The scanner parameters that are set, less exclude; EkSpec refuses
+    those args.kind does not read unless they keep their defaults."""
+    return {f.name: getattr(args, f.name) for f in _ek_param_fields()
+            if f.name != exclude and getattr(args, f.name) is not None}
 
 
 def _cmd_ekscan(args) -> None:

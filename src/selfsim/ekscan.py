@@ -55,12 +55,6 @@ _PAIR_SHIFT = 27
 _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 
 
-def centered_frac(x):
-    """Signed distance to the nearest integer, in [-1/2, 1/2]."""
-    x = np.asarray(x, dtype=float)
-    return x - np.round(x)
-
-
 @dataclass(frozen=True)
 class EkSpec:
     """One scanner configuration.
@@ -91,6 +85,12 @@ class EkSpec:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise SpecError(f"{f.name} must be finite, got {value}")
+        read = _KIND_PARAMS[self.kind]
+        unread = set().union(*_KIND_PARAMS.values()) - set(read)
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise SpecError(f"cannot set {f.name}: {self.kind} scans read "
+                                f"only {', '.join(read)}")
         if self.N < 3:
             raise SpecError("N must be >= 3")
         if not (0.0 < self.c < 0.5):
@@ -156,7 +156,7 @@ def _conv_k_of_n(theta1: float, theta2: float, ns: np.ndarray) -> np.ndarray:
 
 def _good(t: np.ndarray, grids: list, c: float, work: list) -> np.ndarray:
     """Index-major grid test: entry (n, i) is True where
-    |centered_frac(col[n] t[i])| <= c for the column col of every grid.
+    |x - round(x)| <= c at x = col[n] t[i] for the column col of every grid.
 
     Each grid holds its column repeated across k >= t.size grid points,
     shape (N, k), so every product is a contiguous row times t (numpy's

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,86 +227,25 @@ def _pair_sums(blocks: list, length: int):
     return sums.sums()
 
 
-@dataclass(frozen=True)
-class SkipKeepPair:
-    """The digit-split factors nu_k and eta_k of a self-similar measure.
-
-    nu_k collects the length-(k-1) partial digit blocks (ratio r^k,
-    translations over all such words, product weights, no merging so the
-    entropy identity stays exact). eta_k is the same system run at ratio
-    r^k with the original translations; the measure reconstructs as
-    mu = nu_k * (image of eta_k under the recorded affine factor T^(k-1)).
-    """
-
-    k: int
-    nu_ifs: HomogeneousIfs
-    nu_weights: np.ndarray
-    eta_ifs: HomogeneousIfs
-    eta_weights: np.ndarray
-    eta_scale: object
-
-    @property
-    def eta_scaled_ifs(self) -> HomogeneousIfs:
-        """eta_k pushed through its affine factor, again self-similar."""
-        base = self.eta_ifs
-        if base.ambient_dim == 1:
-            scaled = float(self.eta_scale) * base.translations
-        else:
-            scaled = base.translations @ np.asarray(self.eta_scale).T
-        return HomogeneousIfs(base.ambient_dim, base.map, scaled,
-                              label=f"{base.label}|scaled" if base.label else "")
-
-
 def _power_similarity(ifs: HomogeneousIfs, k: int) -> Similarity:
     if ifs.ambient_dim == 1:
         return Similarity(ratio=ifs.map.ratio ** k, sign=ifs.map.sign ** k)
     return Similarity(ratio=ifs.map.ratio ** k, alpha=(ifs.map.alpha * k) % 1.0)
 
 
-def skip_keep(ifs: HomogeneousIfs, p, k: int,
-              word_budget: int | None = None) -> SkipKeepPair:
-    """Split the digit expansion at stride k into the nu_k and eta_k factors."""
-    if k < 2:
-        raise SpecError("skip/keep stride k must be >= 2")
-    p = check_weights(p, ifs.m)
-    blocks, bw = cylinder_words(ifs, p, k - 1, word_budget)
-    sim_k = _power_similarity(ifs, k)
-    nu = HomogeneousIfs(ifs.ambient_dim, sim_k, blocks,
-                        label=f"{ifs.label}|skip{k}" if ifs.label else f"skip{k}")
-    eta = HomogeneousIfs(ifs.ambient_dim, sim_k, ifs.translations,
-                         label=f"{ifs.label}|keep{k}" if ifs.label else f"keep{k}")
-    return SkipKeepPair(k=k, nu_ifs=nu, nu_weights=check_weights(bw),
-                        eta_ifs=eta, eta_weights=p,
-                        eta_scale=ifs.linear_power(k - 1))
-
-
-def iterate_ifs(ifs: HomogeneousIfs, p, k: int,
-                word_budget: int | None = None):
-    """The k-fold iterated system: ratio r^k, one map per length-k word."""
-    if k < 1:
-        raise SpecError("iteration depth k must be >= 1")
-    p = check_weights(p, ifs.m)
-    if k == 1:
-        return ifs, p
-    centers, weights = cylinder_words(ifs, p, k, word_budget)
-    out = HomogeneousIfs(ifs.ambient_dim, _power_similarity(ifs, k), centers,
-                         label=f"{ifs.label}^/{k}" if ifs.label else "")
-    return out, check_weights(weights)
-
-
 def product_ifs(ifs1: HomogeneousIfs, ifs2: HomogeneousIfs, p1, p2):
     """Product of two 1D systems with one signed ratio, as a planar system.
 
     A common negative ratio becomes the half-turn rotation alpha = 1/2.
-    Unequal ratios are rejected; pre-iterate the factors with iterate_ifs
-    until the ratios match when they are log-commensurable.
+    Unequal ratios are rejected; when they are log-commensurable, iterate
+    each factor until the ratios match.
     """
     if ifs1.ambient_dim != 1 or ifs2.ambient_dim != 1:
         raise SpecError("product needs two 1D systems")
     if abs(ifs1.lam - ifs2.lam) > 1e-12:
         raise SpecError(
-            f"signed ratios differ ({ifs1.lam} vs {ifs2.lam}); equalize them "
-            "with iterate_ifs before taking the product")
+            f"signed ratios differ ({ifs1.lam} vs {ifs2.lam}); iterate each "
+            "factor until they are equal before taking the product")
     p1 = check_weights(p1, ifs1.m)
     p2 = check_weights(p2, ifs2.m)
     ax = np.repeat(ifs1.translations, ifs2.m)
@@ -443,14 +381,28 @@ def project_measure(m: SelfSimilarMeasure, beta: float):
 
 def skip_keep_measure(m: SelfSimilarMeasure, k: int, part: str,
                       word_budget: int | None = None) -> SelfSimilarMeasure:
-    """The "skip" (nu_k) or "keep" (scaled eta_k) factor of skip_keep."""
+    """One factor of the digit split mu = nu_k * T^(k-1) eta_k at stride k.
+
+    Both factors run at ratio r^k. "skip" is nu_k: one translation per
+    length-(k-1) word with product weights, unmerged so the entropy
+    identity stays exact. "keep" is T^(k-1) eta_k: the translations pushed
+    through T^(k-1), with m's weights; it expands no word.
+    """
     _require_plain(m)
-    pair = skip_keep(m.ifs, m.p, k, word_budget=word_budget)
+    if k < 2:
+        raise SpecError("skip/keep stride k must be >= 2")
+    if part not in ("skip", "keep"):
+        raise SpecError("skip_keep part must be 'skip' or 'keep'")
+    ifs = m.ifs
     if part == "skip":
-        return SelfSimilarMeasure(pair.nu_ifs, pair.nu_weights)
-    if part == "keep":
-        return SelfSimilarMeasure(pair.eta_scaled_ifs, pair.eta_weights)
-    raise SpecError("skip_keep part must be 'skip' or 'keep'")
+        translations, p = cylinder_words(ifs, m.p, k - 1, word_budget)
+        tag = f"skip{k}"
+    else:
+        translations, p = ifs.apply_power(k - 1, ifs.translations), m.p
+        tag = f"keep{k}|scaled"
+    out = HomogeneousIfs(ifs.ambient_dim, _power_similarity(ifs, k), translations,
+                         label=f"{ifs.label}|{tag}" if ifs.label else tag)
+    return SelfSimilarMeasure(out, p)
 
 
 def resolve_spec(doc: dict, base_dir: str = ".", resolving: tuple = ()):

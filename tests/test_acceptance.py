@@ -16,8 +16,9 @@ from selfsim import (ConvolvedMeasure, EkSpec, HomogeneousIfs,
                      SelfSimilarMeasure, Similarity, build_moment_table,
                      check_submultiplicativity, convolve_hist, ek_badness,
                      ek_count_sequences, estimate_D1, estimate_Dq, ft_eval,
-                     histogram, project_ifs, similarity_dimension, skip_keep,
-                     table_from_histograms, uniform_weights)
+                     histogram, project_ifs, similarity_dimension,
+                     skip_keep_measure, table_from_histograms,
+                     uniform_weights)
 from selfsim.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -183,11 +184,12 @@ def test_criterion_5_skip_keep(acceptance, ssc_factory):
         d_map = dict(zip(direct.indices.tolist(),
                          zip(direct.lower, direct.upper)))
         for k in (2, 3, 4):
-            pair = skip_keep(ifs, p, k)
-            s_k = similarity_dimension(pair.nu_ifs, pair.nu_weights)
+            nu, eta = (skip_keep_measure(SelfSimilarMeasure(ifs, p), k, part)
+                       for part in ("skip", "keep"))
+            s_k = similarity_dimension(nu.ifs, nu.p)
             worst_dim = max(worst_dim, abs(s_k - (1.0 - 1.0 / k) * s))
-            h_nu = histogram(pair.nu_ifs, pair.nu_weights, 14)
-            h_eta = histogram(pair.eta_scaled_ifs, pair.eta_weights, 14)
+            h_nu = histogram(nu.ifs, nu.p, 14)
+            h_eta = histogram(eta.ifs, eta.p, 14)
             recon = convolve_hist(h_nu, h_eta, 1.0, n_out=10)
             r_map = dict(zip(recon.indices.tolist(),
                              zip(recon.lower, recon.upper)))

@@ -136,6 +136,16 @@ def test_skipkeep_csv(specs, tmp_path):
     assert main(["skipkeep", "--ifs", specs["c13"], "--k", "2", "--n", "6",
                  "--part", "keep", "-o", str(out_k)]) == 0
     assert out_s.read_text() != out_k.read_text()
+    # The keep factor expands no word, so a stride past the word budget
+    # works for it; the skip factor and a bad part still fail, the part
+    # before any word is expanded.
+    deep = ["skipkeep", "--ifs", specs["c13"], "--k", "30", "--n", "6"]
+    assert main(deep + ["--part", "keep", "-o", str(out_k)]) == 0
+    assert main(deep + ["--part", "skip"]) == 3
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps(dict(
+        C13, derive={"kind": "skip_keep", "k": 30, "part": "both"})))
+    assert main(["check", "--ifs", str(both)]) == 2
 
 
 def test_ekscan_single_and_range(tmp_path):

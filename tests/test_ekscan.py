@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsim import (BudgetError, EkSpec, PrecisionError, SpecError,
-                     centered_frac, ek_badness, ek_count_sequences, ek_sweep)
+                     ek_badness, ek_count_sequences, ek_sweep)
 from selfsim import ekscan
 from selfsim.cli import _build_parser, main
 from selfsim.ekscan import _clamp_jobs, _first_frontier, _good, _relax
@@ -194,14 +194,6 @@ def _outcome(kind: str, theta: float, N: int, c: float, delta: float,
         return BudgetError, str(exc)
 
 
-def test_centered_frac():
-    assert centered_frac(3.2) == pytest.approx(0.2)
-    assert centered_frac(3.8) == pytest.approx(-0.2)
-    assert centered_frac(-1.5) == pytest.approx(0.5) or \
-        centered_frac(-1.5) == pytest.approx(-0.5)
-    assert abs(centered_frac(7.0)) == 0.0
-
-
 def test_spec_validation():
     with pytest.raises(SpecError):
         EkSpec(kind="nonsense", N=10, c=0.1, lam=0.5)
@@ -271,9 +263,14 @@ def _reference_badness(spec):
         ks = ekscan._conv_k_of_n(spec.theta1, spec.theta2, ns)
         cols = (spec.theta1 ** ns.astype(float),
                 spec.u * spec.theta2 ** ks.astype(float))
-    good = np.abs(centered_frac(t[:, None] * cols[0][None, :])) <= spec.c
+
+    def near(col):
+        x = t[:, None] * col[None, :]
+        return np.abs(x - np.round(x)) <= spec.c
+
+    good = near(cols[0])
     if cols[1] is not None:
-        good &= np.abs(centered_frac(t[:, None] * cols[1][None, :])) <= spec.c
+        good &= near(cols[1])
     gi = int(np.argmax(good.sum(axis=1)))
     return good[gi].mean(), float(t[gi]), good[gi]
 
@@ -349,6 +346,26 @@ def test_sweep_refuses_unread_parameter(capsys):
                  "--hi", "2", "--steps", "3", "--lam", "0.6"]) == 2
     err = capsys.readouterr().err
     assert "lam" in err and "u" in err
+
+
+def test_scan_refuses_unread_fixed_parameter(capsys):
+    """A parameter the kind never reads exits 2 when set away from its
+    default, naming the ones the kind does read; defaults pass."""
+    with pytest.raises(SpecError, match="cannot set theta: .* lam, u$"):
+        EkSpec(kind="translations", N=10, c=0.1, lam=0.6, theta=5.0)
+    with pytest.raises(SpecError, match="theta, alpha, beta$"):
+        EkSpec(kind="projections", N=10, c=0.1, theta=2.0, alpha=1.0, u=2.0)
+    with pytest.raises(SpecError, match="lam, u$"):
+        ek_sweep("translations", {"lam": 0.6, "theta": 5.0}, "u", 0.5, 1.0,
+                 2, 10, 0.1, t_grid=64)
+    EkSpec(kind="projections", N=10, c=0.1, theta=2.0, alpha=1.0, u=1.0)
+    EkSpec(kind="translations", N=10, c=0.1, lam=0.6, beta=0.0)
+    argv = ["ekscan", "translations", "--lam", "0.6", "--N", "10",
+            "--t-grid", "64"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--theta", "5"]) == 2
+    assert "translations scans read only lam, u" in capsys.readouterr().err
 
 
 def test_count_convolutions_frozen():

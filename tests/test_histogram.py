@@ -457,15 +457,25 @@ def _assert_matches_collecting(ifs, p, n, extra_depth):
     assert np.array_equal(hist.upper, upper)
 
 
+_ROT3 = HomogeneousIfs(2, Similarity(ratio=0.45, alpha=0.1),
+                      np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(system=_oracle_systems(), n=st.integers(3, 12), extra_depth=st.integers(0, 5),
        cap=st.sampled_from([1 << 23, 200, 0]), block=st.sampled_from([1 << 15, 500, 7]))
+@example(system=(_ROT3, np.array([0.2, 0.3, 0.5])), n=4, extra_depth=5,
+         cap=1 << 23, block=500)
+@example(system=(_GOLDEN_BC, np.array([0.3, 0.7])), n=10, extra_depth=5,
+         cap=0, block=7)
 def test_histogram_matches_collecting_oracle(system, n, extra_depth, cap, block):
     """Adding settled words into per-cell sums as they settle, block by
     block, and binning the depth-h words block by block change no bit of
     collecting every cell and weight first. A cap of 200 or 0 cells sends
     small boxes above it (sorted sums), and blocks of 500 or 7 rows run
-    the settle test and binning in many."""
+    the settle test and binning in many. Each fixed example fails if the
+    settle blocks, the rows _take_rows selects, the wide parts at an
+    offset or the rows at an offset are taken in reverse order."""
     ifs, p = system
     assume(_oracle_size_ok(ifs, n, extra_depth))
     if block < 500:

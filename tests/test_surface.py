@@ -13,15 +13,14 @@ PUBLIC = """
 AcDecision BudgetError ConvolvedMeasure DimEstimate DyadicHistogram
 EkCountReport EkReport EkSpec FourierProfile HomogeneousIfs MomentTable
 PrecisionError ProjectedMeasure SelfSimilarMeasure SelfsimError
-SeparationCertificate Similarity SkipKeepPair SpecError SubmultReport
-UsageError WORD_BUDGET ac_predicate build_moment_table centered_frac
-check_strong_separation check_submultiplicativity check_weights
-closed_form_Dq convolve_hist cylinder_words decay_fit dyadic_depth
-ek_badness ek_count_sequences ek_sweep entropy entropy_sum estimate_D1
-estimate_Dq ft_eval histogram histogram_project ifs_from_json iterate_ifs
-load_measure_spec moment_sums product_ifs project_ifs project_measure
-resolve_spec similarity_dimension skip_keep skip_keep_measure
-table_from_histograms uniform_weights unrank_word
+SeparationCertificate Similarity SpecError SubmultReport UsageError
+WORD_BUDGET ac_predicate build_moment_table check_strong_separation
+check_submultiplicativity check_weights closed_form_Dq convolve_hist
+cylinder_words decay_fit dyadic_depth ek_badness ek_count_sequences
+ek_sweep entropy entropy_sum estimate_D1 estimate_Dq ft_eval histogram
+histogram_project ifs_from_json load_measure_spec moment_sums product_ifs
+project_ifs project_measure resolve_spec similarity_dimension
+skip_keep_measure table_from_histograms uniform_weights unrank_word
 """.split()
 
 

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsim import (BudgetError, DyadicHistogram, HomogeneousIfs, Similarity,
-                     SpecError, convolve_hist, histogram, histogram_project,
-                     iterate_ifs, load_measure_spec, product_ifs, project_ifs,
-                     resolve_spec,
-                     similarity_dimension, skip_keep, transforms,
+from selfsim import (BudgetError, DyadicHistogram, HomogeneousIfs,
+                     SelfSimilarMeasure, Similarity, SpecError, convolve_hist,
+                     histogram, histogram_project, load_measure_spec,
+                     product_ifs, project_ifs, resolve_spec,
+                     similarity_dimension, skip_keep_measure, transforms,
                      uniform_weights)
 from selfsim.histogram import _EPS_BASE, _box_range, bin_weighted_intervals
 
@@ -411,14 +411,34 @@ def test_convolution_wide_span_matches_buffered_oracle(u, guard):
     assert np.array_equal(got.upper, want.upper)
 
 
-def test_skip_keep_oracle(cantor13):
-    ifs, p = cantor13
-    pair = skip_keep(ifs, p, 2)
-    assert pair.nu_ifs.map.ratio == pytest.approx(1 / 9)
-    assert np.allclose(pair.nu_ifs.translations, [0.0, 2 / 3])
-    assert np.allclose(pair.nu_weights, 0.5)
-    assert pair.eta_scale == pytest.approx(1 / 3)
-    assert np.allclose(pair.eta_scaled_ifs.translations, [0.0, 2 / 9])
+def _no_words(*args, **kwargs):
+    raise AssertionError("the keep factor expanded words")
+
+
+def test_skip_keep_oracle(cantor13, monkeypatch):
+    """Both factors at ratio r^k; the keep factor, its translations pushed
+    through T^(k-1), never expands a word, so a deep stride is free, and
+    the stride and part are checked before any word is."""
+    m = SelfSimilarMeasure(*cantor13)
+    skip = skip_keep_measure(m, 2, "skip")
+    assert skip.ifs.map.ratio == pytest.approx(1 / 9)
+    assert np.allclose(skip.ifs.translations, [0.0, 2 / 3])
+    assert np.allclose(skip.p, 0.5)
+    assert skip.label == "cantor13|skip2"
+    monkeypatch.setattr(transforms, "cylinder_words", _no_words)
+    keep = skip_keep_measure(m, 2, "keep")
+    assert keep.ifs.map.ratio == pytest.approx(1 / 9)
+    assert np.allclose(keep.ifs.translations, [0.0, 2 / 9])
+    assert np.array_equal(keep.p, m.p)
+    assert keep.label == "cantor13|keep2|scaled"
+    deep = skip_keep_measure(m, 30, "keep")
+    assert deep.ifs.map.ratio == pytest.approx(3.0 ** -30)
+    assert np.array_equal(deep.ifs.translations,
+                          (1 / 3) ** 29 * m.ifs.translations)
+    with pytest.raises(SpecError, match="stride"):
+        skip_keep_measure(m, 1, "keep")
+    with pytest.raises(SpecError, match="part"):
+        skip_keep_measure(m, 30, "both")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -427,8 +447,8 @@ def test_skip_keep_dimension_identity(k, ssc_factory):
     for _ in range(4):
         ifs, p = ssc_factory(rng)
         s = similarity_dimension(ifs, p)
-        pair = skip_keep(ifs, p, k)
-        s_k = similarity_dimension(pair.nu_ifs, pair.nu_weights)
+        nu = skip_keep_measure(SelfSimilarMeasure(ifs, p), k, "skip")
+        s_k = similarity_dimension(nu.ifs, nu.p)
         assert abs(s_k - (1.0 - 1.0 / k) * s) <= 1e-12
 
 
@@ -436,9 +456,10 @@ def test_skip_keep_reconstruction(cantor13):
     """nu_k convolved with the scaled keep factor re-encloses the measure."""
     ifs, p = cantor13
     for k in (2, 3):
-        pair = skip_keep(ifs, p, k)
-        h_nu = histogram(pair.nu_ifs, pair.nu_weights, 12)
-        h_eta = histogram(pair.eta_scaled_ifs, pair.eta_weights, 12)
+        nu, eta = (skip_keep_measure(SelfSimilarMeasure(ifs, p), k, part)
+                   for part in ("skip", "keep"))
+        h_nu = histogram(nu.ifs, nu.p, 12)
+        h_eta = histogram(eta.ifs, eta.p, 12)
         recon = convolve_hist(h_nu, h_eta, 1.0, n_out=8)
         direct = histogram(ifs, p, 8)
         assert _overlap_gap(recon, direct) <= 1e-12
@@ -470,15 +491,6 @@ def test_product_requires_equal_ratio(cantor13, cantor14):
     with pytest.raises(SpecError) as err:
         product_ifs(c13, c14, p13, p14)
     assert "iterate" in str(err.value)
-
-
-def test_iterate_preserves_measure(cantor13):
-    ifs, p = cantor13
-    it2, w2 = iterate_ifs(ifs, p, 2)
-    assert np.allclose(it2.translations, [0.0, 2 / 9, 2 / 3, 8 / 9])
-    h_base = histogram(ifs, p, 8)
-    h_iter = histogram(it2, w2, 8)
-    assert _overlap_gap(h_iter, h_base) <= 1e-12
 
 
 def test_resolve_plain_document(cantor13):
